@@ -379,6 +379,8 @@ HOT_PATH_ROOTS: tuple[tuple[str, str], ...] = (
      r"TCA_HOT_PATH\s+void\s+sweep_code_range\b"),
     ("src/phasespace/sharded_build.cpp",
      r"\(unsigned\s+worker_id\)\s*TCA_HOT_PATH\s*\{"),
+    ("src/phasespace/classify.cpp",
+     r"\(std::size_t\s+b,\s*std::size_t\s+e\)\s*TCA_HOT_PATH\s*\{"),
     ("src/phasespace/successor_store.cpp",
      r"TCA_HOT_PATH\s+inline\s+void\s+merge_word\b"),
     ("src/phasespace/successor_store.cpp",

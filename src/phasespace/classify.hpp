@@ -58,10 +58,23 @@ struct Classification {
   }
 };
 
-/// Classifies every state of the functional graph. O(num_states) time.
-/// Works on every storage backend: the cycle/transient walks go through
-/// FunctionalGraph::succ (random access — flat index, packed decode, or
-/// disk mmap) and the in-degree pass streams via the store.
+/// Classifies every state of the functional graph in O(num_states) work
+/// (docs/performance.md, successor storage hierarchy). Five phases: an
+/// image bitmap (the Gardens of Eden), in-degrees counted from image
+/// sources and peeled down chains to split transient from cycle states,
+/// an ascending walk of the cycle states (ids come out sorted), a
+/// memoised labelling chase over the transients, and per-chunk basin
+/// reductions. Scratch is about 4 B/state on top of the 5 B/state
+/// result.
+///
+/// Threading: one core::ThreadPool per call, with one worker per 2^20
+/// states capped at hardware_concurrency(), so graphs of up to 2^20
+/// states run on the calling thread alone. The result is a pure function
+/// of the successor table: identical in every field for any worker count.
+///
+/// Works on every storage backend through FunctionalGraph::succ (flat
+/// index, packed decode, or the disk store's shared read mapping); the
+/// store must be finalized.
 [[nodiscard]] Classification classify(const FunctionalGraph& fg);
 
 /// In-degree of each state (preimage counts under F).

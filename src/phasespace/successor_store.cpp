@@ -359,8 +359,8 @@ DiskStore::DiskStore(std::uint32_t bits, std::string dir, StateCode entries)
 }
 
 DiskStore::~DiskStore() {
-  if (map_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(map_), map_bytes_);
+  if (const std::uint8_t* map = map_.load(std::memory_order_acquire)) {
+    ::munmap(const_cast<std::uint8_t*>(map), map_bytes_);
   }
   if (fd_ >= 0) ::close(fd_);
 }
@@ -371,9 +371,11 @@ std::uint64_t DiskStore::data_bytes() const noexcept {
   return (static_cast<std::uint64_t>(entries_) * bits_ + 7) / 8 + 8;
 }
 
-void DiskStore::map_for_reads() const {
+const std::uint8_t* DiskStore::map_for_reads() const {
   std::lock_guard<std::mutex> lock(ledger_->map_mu);
-  if (map_ != nullptr) return;
+  if (const std::uint8_t* map = map_.load(std::memory_order_acquire)) {
+    return map;  // another reader mapped first
+  }
   void* p = ::mmap(nullptr, data_bytes(), PROT_READ, MAP_SHARED, fd_, 0);
   if (p == MAP_FAILED) {
     throw tca::CheckpointError(
@@ -382,17 +384,20 @@ void DiskStore::map_for_reads() const {
         tca::ErrorCode::kIo);
   }
   map_bytes_ = data_bytes();
-  map_ = static_cast<const std::uint8_t*>(p);
+  const auto* map = static_cast<const std::uint8_t*>(p);
+  map_.store(map, std::memory_order_release);
+  return map;
 }
 
 StateCode DiskStore::get(StateCode s) const {
-  if (map_ == nullptr) map_for_reads();
+  const std::uint8_t* map = map_.load(std::memory_order_acquire);
+  if (map == nullptr) map = map_for_reads();
   const std::uint64_t bit = s * bits_;
   const auto byte = static_cast<std::size_t>(bit >> 3);
   const auto sh = static_cast<std::uint32_t>(bit & 7);
   std::uint64_t window = 0;
   for (int b = 7; b >= 0; --b) {
-    window = (window << 8) | map_[byte + static_cast<std::size_t>(b)];
+    window = (window << 8) | map[byte + static_cast<std::size_t>(b)];
   }
   return (window >> sh) & value_mask_;
 }
@@ -613,7 +618,7 @@ std::uint64_t DiskStore::spilled_bytes() const noexcept {
 std::uint64_t DiskStore::resident_bytes() const noexcept {
   // The mmap window is an upper bound (pages fault in on demand); the
   // pread streaming path pins nothing here.
-  return map_ != nullptr ? map_bytes_ : 0;
+  return map_.load(std::memory_order_acquire) != nullptr ? map_bytes_ : 0;
 }
 
 // --- factory ------------------------------------------------------------

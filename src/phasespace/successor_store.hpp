@@ -30,6 +30,7 @@
 // whole table front to back in bounded blocks and is the iteration
 // surface classification and censuses use so they work on all backends.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -262,13 +263,16 @@ class DiskStore final : public SuccessorStore {
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
  private:
-  void map_for_reads() const;
+  [[nodiscard]] const std::uint8_t* map_for_reads() const;
   [[nodiscard]] std::uint64_t data_bytes() const noexcept;
 
   std::string dir_;
   std::string data_path_;
   int fd_ = -1;
-  mutable const std::uint8_t* map_ = nullptr;  // lazy, read-only
+  /// Lazy read-only mapping. The first get() maps under the ledger's
+  /// map mutex and publishes the pointer (and map_bytes_) with a release
+  /// store, so concurrent readers of a finalized store never race on it.
+  mutable std::atomic<const std::uint8_t*> map_{nullptr};
   mutable std::uint64_t map_bytes_ = 0;
   std::uint64_t value_mask_ = 0;
 

@@ -113,10 +113,11 @@ QueryResult result_from_graph(const ServiceQuery& query,
       break;
     }
     case QueryKind::kGoeCensus: {
-      const std::vector<std::uint32_t> indeg =
-          phasespace::in_degrees(fg.store());
-      r.gardens = static_cast<std::uint64_t>(
-          std::count(indeg.begin(), indeg.end(), 0u));
+      // A 1-bit/state reached bitmap; the table is complete, so the
+      // census runs unbudgeted and never truncates.
+      runtime::RunControl unlimited;
+      r.gardens =
+          phasespace::count_gardens_of_eden(fg.store(), unlimited).gardens;
       r.scanned = fg.num_states();
       break;
     }

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/error.hpp"
@@ -28,7 +30,14 @@ namespace fs = std::filesystem;
 class CkptStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "tca_ckpt_store_test";
+    // Per-test, per-process directory: the per-case and whole-binary
+    // (`_suite`) ctest entries run concurrently under `ctest -j`.
+    dir_ = fs::temp_directory_path() /
+           ("tca_ckpt_store_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     head_ = (dir_ / "state.ckpt").string();

@@ -10,6 +10,9 @@
 
 #include <filesystem>
 #include <new>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/thread_pool.hpp"
 #include "phasespace/functional_graph.hpp"
@@ -159,7 +162,9 @@ TEST(FaultInjection, SpawnFailureDegradedPoolStillBuildsCorrectTables) {
 
 TEST(FaultInjection, AllocFaultLeavesNoCheckpointResidue) {
   const auto dir = std::filesystem::temp_directory_path();
-  const std::string path = (dir / "tca_fault_ckpt_test.ckpt").string();
+  const std::string path =
+      (dir / ("tca_fault_ckpt_test_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
   std::filesystem::remove(path);
   std::filesystem::remove(path + ".tmp");
   {

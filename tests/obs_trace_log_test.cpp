@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/thread_pool.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -90,7 +92,8 @@ TEST(Trace, WriteChromeTraceProducesFile) {
   }
   stop_tracing();
   const std::string path =
-      (std::filesystem::temp_directory_path() / "tca_obs_trace_test.json")
+      (std::filesystem::temp_directory_path() /
+       ("tca_obs_trace_test_" + std::to_string(::getpid()) + ".json"))
           .string();
   write_chrome_trace(path);
   std::ifstream in(path);

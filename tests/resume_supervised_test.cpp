@@ -148,7 +148,14 @@ pid_t spawn_child(const std::string& workdir, bool slow) {
 class ResumeSupervisedTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::temp_directory_path() / "tca_resume_supervised_test";
+    // Per-test, per-process directory: the per-case and whole-binary
+    // (`_suite`) ctest entries run concurrently under `ctest -j`.
+    root_ = fs::temp_directory_path() /
+            ("tca_resume_supervised_test_" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
+             "_" + std::to_string(::getpid()));
     fs::remove_all(root_);
     fs::create_directories(root_);
     // The fault-free reference summary, computed once per fixture setup.

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/automaton.hpp"
 #include "phasespace/classify.hpp"
 #include "runtime/budget.hpp"
@@ -38,7 +40,8 @@ class TempDir {
  public:
   explicit TempDir(const char* tag)
       : path_(fs::temp_directory_path() /
-              (std::string("tca-sharded-test-") + tag)) {
+              (std::string("tca-sharded-test-") + tag + "-" +
+               std::to_string(::getpid()))) {
     std::error_code ec;
     fs::remove_all(path_, ec);
   }

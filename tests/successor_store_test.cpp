@@ -8,12 +8,16 @@
 #include "phasespace/successor_store.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/contracts.hpp"
 #include "runtime/error.hpp"
 
 namespace tca::phasespace {
@@ -43,7 +47,8 @@ class TempDir {
  public:
   explicit TempDir(const char* tag)
       : path_(fs::temp_directory_path() /
-              (std::string("tca-store-test-") + tag)) {
+              (std::string("tca-store-test-") + tag + "-" +
+               std::to_string(::getpid()))) {
     std::error_code ec;
     fs::remove_all(path_, ec);
   }
@@ -183,6 +188,37 @@ TEST(DiskStore, SpillsAlignedExtentsAndReadsThemBack) {
   EXPECT_EQ(got, want);
   EXPECT_EQ(store.get(0), want[0]);
   EXPECT_EQ(store.get(kEntries - 1), want[kEntries - 1]);
+}
+
+TEST(DiskStore, ConcurrentFirstGetsOnAFinalizedStore) {
+  // The first get() maps the data file; racing first readers (a
+  // multi-threaded classify over a disk-backed graph) must agree on one
+  // mapping and all read the right entries.
+  TempDir dir("concurrent-get");
+  constexpr std::uint32_t kBits = 11;
+  constexpr std::size_t kEntries = std::size_t{1} << kBits;
+  const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
+  DiskStore store(kBits, dir.path().string(), kEntries);
+  store.put_range(0, kEntries, want.data());
+  store.finalize();
+
+  constexpr unsigned kReaders = 4;
+  std::vector<std::size_t> mismatches(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (unsigned r = 0; r < kReaders; ++r) {
+    TCA_JOINED_BEFORE_SCOPE_EXIT("joined right after the spawn loop");
+    readers.emplace_back([&store, &want, &mismatches, r] {
+      for (std::size_t i = 0; i < kEntries; ++i) {
+        const std::size_t s = (i * (2 * r + 1) + r) % kEntries;
+        if (store.get(s) != want[s]) ++mismatches[r];
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (unsigned r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(mismatches[r], 0u) << "reader " << r;
+  }
+  EXPECT_GT(store.resident_bytes(), 0u);
 }
 
 TEST(DiskStore, RejectsUnalignedAndPostFinalizeWrites) {
