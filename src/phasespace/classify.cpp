@@ -15,7 +15,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 #include "core/contracts.hpp"
 #include "core/thread_pool.hpp"
@@ -26,9 +25,6 @@ namespace {
 
 /// Phase 2 marks a state whose image in-degree counter was peeled to zero.
 constexpr std::uint32_t kPeeled = 0xFFFFFFFFu;
-/// One worker per this many states, so graphs up to 2^20 states run on the
-/// calling thread alone.
-constexpr StateCode kStatesPerWorker = StateCode{1} << 20;
 /// Attractor ids below max(this, states / 64) are tallied in per-chunk
 /// arrays (at most 1/8 B per state per worker); the rest, present only
 /// when attractors are very plentiful and so rarely contended, go to
@@ -36,12 +32,6 @@ constexpr StateCode kStatesPerWorker = StateCode{1} << 20;
 constexpr StateCode kDenseBasins = 4096;
 /// Chunk boundaries are multiples of a bitmap word.
 constexpr std::size_t kChunkAlign = 64;
-
-[[nodiscard]] unsigned classify_workers(StateCode count) {
-  const StateCode hw = std::max(1u, std::thread::hardware_concurrency());
-  return static_cast<unsigned>(
-      std::clamp<StateCode>(count / kStatesPerWorker, 1, hw));
-}
 
 [[nodiscard]] bool in_image(const std::uint64_t* image, StateCode s) {
   return ((image[s >> 6] >> (s & 63)) & 1) != 0;
@@ -132,7 +122,7 @@ Classification classify(const FunctionalGraph& fg) {
   // Transient depth, 0 = not yet labelled; written by phase 1 before use.
   const auto depth = std::make_unique_for_overwrite<std::uint32_t[]>(count);
 
-  const unsigned workers = classify_workers(count);
+  const unsigned workers = workers_for_states(count);
   std::optional<core::ThreadPool> pool;
   if (workers > 1) pool.emplace(workers);
   const auto for_chunks =

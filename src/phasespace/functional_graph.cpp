@@ -1,6 +1,7 @@
 #include "phasespace/functional_graph.hpp"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "core/sequential.hpp"
@@ -94,6 +95,12 @@ FunctionalGraphBuild build_serial(std::uint32_t bits, const CodeStepFn& step,
 }
 
 }  // namespace
+
+unsigned workers_for_states(StateCode count) {
+  const StateCode hw = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<unsigned>(
+      std::clamp<StateCode>(count >> 20, 1, hw));
+}
 
 FunctionalGraph::FunctionalGraph(std::uint32_t bits, const CodeStepFn& step)
     : bits_(bits) {

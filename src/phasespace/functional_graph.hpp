@@ -49,6 +49,12 @@ using CodeStepFn = std::function<StateCode(StateCode)>;
 inline constexpr std::uint32_t kMaxExplicitBits =
     max_explicit_bits(StoreKind::kFlat);
 
+/// Worker threads for one multi-threaded pass over `count` states: one
+/// per 2^20 states, capped at hardware_concurrency(), so up to 2^20
+/// states run on the calling thread alone. classify and the service's
+/// sharded builds both size their threads with it.
+[[nodiscard]] unsigned workers_for_states(StateCode count);
+
 struct FunctionalGraphBuild;
 
 /// The full successor table of a deterministic map on n-bit states.

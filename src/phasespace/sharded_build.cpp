@@ -206,6 +206,10 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
       make_store(options.store, bits, options.disk_dir);
 
   // --- kDisk resume: skip shards whose extents revalidate ---------------
+  // shard_done: 0 = to build, kResumed = valid on disk, kStored = built
+  // and put by this call (written only by the shard's single claimant).
+  constexpr std::uint8_t kResumed = 1;
+  constexpr std::uint8_t kStored = 2;
   std::vector<std::uint8_t> shard_done(
       static_cast<std::size_t>(plan.shards_total), 0);
   if (options.store == StoreKind::kDisk && options.resume) {
@@ -221,7 +225,7 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
         continue;
       }
       if (shard_done[static_cast<std::size_t>(shard)] == 0) {
-        shard_done[static_cast<std::size_t>(shard)] = 1;
+        shard_done[static_cast<std::size_t>(shard)] = kResumed;
         out.stats.resumed_states += e.count;
       }
     }
@@ -244,7 +248,7 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   runtime::RunControl* ctl = &control;
   SuccessorStore* store_raw = store.get();
   const ShardPlan* plan_ptr = &plan;
-  const std::uint8_t* done = shard_done.data();
+  std::uint8_t* done = shard_done.data();
 
   const auto worker_body = [&, ctl, store_raw, plan_ptr,
                             done](unsigned worker_id) TCA_HOT_PATH {
@@ -312,6 +316,7 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
         }
         if (!whole) break;
         store_raw->put_range(first, n_states, staging.data());
+        done[shard] = kStored;
         ++(is_steal ? stolen : claimed);
       }
       total_claimed.fetch_add(claimed, std::memory_order_relaxed);
@@ -365,13 +370,13 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   out.stats.shards_stolen = total_stolen.load(std::memory_order_relaxed);
   out.build.status = control.status();
 
-  const std::uint64_t executed =
-      out.stats.shards_claimed + out.stats.shards_stolen;
-  const std::uint64_t resumed_shards = static_cast<std::uint64_t>(
-      std::count(shard_done.begin(), shard_done.end(), std::uint8_t{1}));
+  for (std::uint64_t shard = 0; shard < plan.shards_total; ++shard) {
+    if (shard_done[static_cast<std::size_t>(shard)] != 0) {
+      out.stats.stored_states += plan.shard_count(shard);
+    }
+  }
   const bool complete =
-      !out.build.status.truncated() &&
-      executed + resumed_shards == plan.shards_total;
+      !out.build.status.truncated() && out.stats.stored_states == count;
 
   if (!complete) {
     // Shards complete out of order: counts only, like the pool builder.

@@ -107,6 +107,10 @@ struct ShardStats {
   std::uint64_t shards_claimed = 0;   ///< claimed from the worker's group
   std::uint64_t shards_stolen = 0;    ///< claimed from a foreign group
   std::uint64_t resumed_states = 0;   ///< kDisk resume: states not rebuilt
+  /// States held by whole shards in the store: completed plus resumed.
+  /// On a truncated kDisk build this is what a resume will skip; partial
+  /// shards abandoned mid-stream are not counted.
+  std::uint64_t stored_states = 0;
   std::uint32_t worker_groups = 0;
   std::uint32_t workers = 0;
 };

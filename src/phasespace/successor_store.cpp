@@ -261,6 +261,10 @@ struct DiskStore::Ledger {
   std::vector<Extent> extents;
   std::uint64_t spilled_bytes = 0;
   bool finalized = false;
+  /// Serialises manifest writes (doubling checkpoints and finalize), and
+  /// each writer snapshots the ledger under it, so an older extent list
+  /// never lands over a newer one.
+  std::mutex manifest_mu;
   std::mutex map_mu;  // one-shot lazy mmap
 };
 
@@ -429,13 +433,19 @@ void DiskStore::put_range(StateCode first, std::size_t count,
   const std::uint64_t digest = core::fnv1a64(std::string_view(
       reinterpret_cast<const char*>(packed.data()),
       static_cast<std::size_t>(bytes)));
+  bool checkpoint = false;
   {
     std::lock_guard<std::mutex> lock(ledger_->mu);
     ledger_->extents.push_back(Extent{first, count, digest});
     ledger_->spilled_bytes += bytes;
+    const std::size_t extents = ledger_->extents.size();
+    checkpoint = (extents & (extents - 1)) == 0;
   }
   static obs::Counter& spill = obs::counter("store.spill_bytes");
   spill.add(bytes);
+  // Re-save the manifest each time the extent count doubles, so a killed
+  // build keeps at least half of its finished extents for resume().
+  if (checkpoint) write_manifest(/*seal=*/false);
 }
 
 void DiskStore::read_range(StateCode first, std::size_t count,
@@ -462,14 +472,21 @@ void DiskStore::read_range(StateCode first, std::size_t count,
           .count()));
 }
 
-void DiskStore::finalize() {
+void DiskStore::finalize() { write_manifest(/*seal=*/true); }
+
+void DiskStore::write_manifest(bool seal) {
+  const std::lock_guard<std::mutex> save(ledger_->manifest_mu);
   std::vector<Extent> extents;
   {
     std::lock_guard<std::mutex> lock(ledger_->mu);
-    ledger_->finalized = true;
+    // A sealed manifest already lists every extent.
+    if (!seal && ledger_->finalized) return;
+    if (seal) ledger_->finalized = true;
     extents = ledger_->extents;
   }
-  if (::fsync(fd_) != 0) {
+  // Only the seal fsyncs: an unsealed manifest may name extents whose
+  // bytes never reached the disk, and resume() digest-checks each one.
+  if (seal && ::fsync(fd_) != 0) {
     throw tca::CheckpointError(
         "DiskStore: fsync of " + data_path_ + " failed: " +
             std::strerror(errno),

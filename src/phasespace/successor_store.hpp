@@ -215,7 +215,10 @@ class PackedStore final : public SuccessorStore {
 /// 512 == 0 unless the range ends at num_entries) so concurrent extents
 /// touch disjoint whole bytes; unaligned writes throw tca::StateError.
 /// finalize() fsyncs the data file then writes the manifest — an extent
-/// is durable-and-trusted only once a manifest naming it lands.
+/// is durable-and-trusted only once a manifest naming it lands. Before
+/// that, put_range re-saves the manifest (without fsync) each time the
+/// extent count reaches a power of two, so a killed build loses at most
+/// half of its finished extents at O(log extents) manifest writes.
 ///
 /// resume() (before any put_range) loads the newest valid manifest,
 /// re-reads every listed extent and KEEPS only those whose bytes still
@@ -264,6 +267,9 @@ class DiskStore final : public SuccessorStore {
 
  private:
   [[nodiscard]] const std::uint8_t* map_for_reads() const;
+  /// Writes the current extent list as the manifest; `seal` fsyncs the
+  /// data file first and marks the store finalized.
+  void write_manifest(bool seal);
   [[nodiscard]] std::uint64_t data_bytes() const noexcept;
 
   std::string dir_;

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -12,80 +15,14 @@
 #include "obs/trace.hpp"
 #include "phasespace/classify.hpp"
 #include "phasespace/preimage.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "phasespace/supervised.hpp"
-#include "runtime/ckpt_store.hpp"
 #include "runtime/error.hpp"
 
 namespace tca::service {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Resume-checkpoint payload: two text header lines (the canonical key,
-/// so a digest collision can never seed the wrong build, and the built
-/// count) followed by the successor-table prefix as explicit
-/// little-endian uint64 bytes (portable, unlike a memcpy of the vector).
-std::string encode_resume_payload(const std::string& key,
-                                  const std::vector<phasespace::StateCode>& succ,
-                                  std::uint64_t built) {
-  std::string payload = key + "\nbuilt=" + std::to_string(built) + "\n";
-  payload.reserve(payload.size() + built * 8);
-  for (std::uint64_t i = 0; i < built; ++i) {
-    std::uint64_t v = succ[i];
-    for (int b = 0; b < 8; ++b) {
-      payload += static_cast<char>(v & 0xFF);
-      v >>= 8;
-    }
-  }
-  return payload;
-}
-
-/// Parses a resume payload into succ[0 .. built); false on any mismatch
-/// (foreign key, bad framing, impossible count) — the caller then builds
-/// from scratch.
-bool decode_resume_payload(const std::string& payload, const std::string& key,
-                           std::uint64_t total,
-                           std::vector<phasespace::StateCode>& succ,
-                           std::uint64_t& built) {
-  const std::size_t nl1 = payload.find('\n');
-  if (nl1 == std::string::npos || payload.compare(0, nl1, key) != 0) {
-    return false;
-  }
-  const std::size_t nl2 = payload.find('\n', nl1 + 1);
-  if (nl2 == std::string::npos) return false;
-  const std::string count_line = payload.substr(nl1 + 1, nl2 - nl1 - 1);
-  if (count_line.rfind("built=", 0) != 0) return false;
-  std::uint64_t count = 0;
-  for (const char c : count_line.substr(6)) {
-    if (c < '0' || c > '9') return false;
-    count = count * 10 + static_cast<std::uint64_t>(c - '0');
-    if (count > total) return false;
-  }
-  if (payload.size() - (nl2 + 1) != count * 8) return false;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t v = 0;
-    for (int b = 7; b >= 0; --b) {
-      v = (v << 8) | static_cast<std::uint8_t>(
-                         payload[nl2 + 1 + i * 8 + static_cast<std::size_t>(b)]);
-    }
-    succ[i] = v;
-  }
-  built = count;
-  return true;
-}
-
-/// Builds the per-attempt stepper. Synchronous builds honor the
-/// degradation-ladder rung; sweep builds have no rung-forced constructor
-/// (the sweep map is inherently per-code) and run the dispatched tier at
-/// every rung.
-phasespace::BatchCodeStepper make_stepper(const core::Automaton& a,
-                                          const ServiceQuery& query,
-                                          runtime::EngineRung rung) {
-  if (query.scheme == Scheme::kSweep) {
-    return phasespace::BatchCodeStepper(a, query.effective_order());
-  }
-  return phasespace::BatchCodeStepper(a, rung);
-}
 
 /// Derives the typed result from a completed explicit graph. Every path
 /// is storage-generic: random access goes through FunctionalGraph::succ
@@ -137,6 +74,48 @@ QueryResult result_from_graph(const ServiceQuery& query,
     }
   }
   return r;
+}
+
+/// Directory a resumable large-n build spills its extents to.
+fs::path store_dir(const EngineOptions& options, const ServiceQuery& query) {
+  return fs::path(options.ckpt_dir) / "store" / query.digest();
+}
+
+/// Readies a resumable build's store directory for `key`. The directory
+/// is named by a 64-bit digest, so the canonical key is recorded beside
+/// the manifest; extents left there by another key (a digest collision)
+/// are wiped instead of resumed.
+void claim_store_dir(const fs::path& dir, const std::string& key) {
+  const fs::path key_file = dir / "query.key";
+  std::error_code ec;
+  if (fs::exists(dir, ec)) {
+    std::ifstream in(key_file, std::ios::binary);
+    const std::string recorded{std::istreambuf_iterator<char>(in), {}};
+    if (recorded == key) return;
+    obs::log_event(obs::LogLevel::kWarn, "service.resume.foreign",
+                   {{"dir", dir.string()}, {"key", key}});
+    fs::remove_all(dir, ec);
+  }
+  fs::create_directories(dir, ec);
+  std::ofstream(key_file, std::ios::binary | std::ios::trunc) << key;
+}
+
+/// Streams a finished disk table into the configured RAM backend.
+std::shared_ptr<phasespace::SuccessorStore> load_into(
+    phasespace::StoreKind kind, const phasespace::SuccessorStore& disk) {
+  constexpr phasespace::StateCode kChunk = phasespace::StateCode{1} << 16;
+  const phasespace::StateCode total = disk.num_entries();
+  std::shared_ptr<phasespace::SuccessorStore> ram =
+      phasespace::make_store(kind, disk.bits());
+  std::vector<phasespace::StateCode> block(static_cast<std::size_t>(kChunk));
+  for (phasespace::StateCode first = 0; first < total; first += kChunk) {
+    const auto count =
+        static_cast<std::size_t>(std::min(kChunk, total - first));
+    disk.read_range(first, count, block.data());
+    ram->put_range(first, count, block.data());
+  }
+  ram->finalize();
+  return ram;
 }
 
 }  // namespace
@@ -192,8 +171,6 @@ QueryEngine::QueryEngine(EngineOptions options)
     : options_([&] {
         options.max_concurrent_builds =
             std::max<std::uint32_t>(options.max_concurrent_builds, 1);
-        options.ckpt_every_states =
-            std::max<std::uint64_t>(options.ckpt_every_states, 1024);
         return options;
       }()) {}
 
@@ -288,142 +265,12 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
                                        runtime::CancelToken token) {
   TCA_SPAN("service_explicit_build");
   static obs::Counter& builds = obs::counter("service.engine.builds");
-  static obs::Counter& small_n = obs::counter("service.engine.small_n");
-  static obs::Counter& supervised = obs::counter("service.engine.supervised");
-  static obs::Counter& truncated = obs::counter("service.engine.truncated");
-  static obs::Counter& failed = obs::counter("service.engine.failed");
-  static obs::Counter& resume_saved = obs::counter("service.resume.saved");
-  static obs::Counter& resume_resumed = obs::counter("service.resume.resumed");
 
   const AdmissionSlot slot(*this);
   builds.add();
 
-  const core::Automaton a = query.automaton();
-  const std::uint64_t total = std::uint64_t{1} << query.n;
-  const std::string key = query.canonical_key();
-
   QueryOutcome out;
-  out.states_total = total;
-
-  std::vector<phasespace::StateCode> succ;
-  try {
-    succ.resize(total);
-  } catch (const std::bad_alloc&) {
-    out.status = QueryOutcome::Status::kFailed;
-    out.error_code = ErrorCode::kDomainTooLarge;
-    out.error = "successor table allocation failed";
-    failed.add();
-    return out;
-  }
-  std::uint64_t built = 0;
-
-  const bool small = query.n <= options_.small_n_bits;
-  const bool resumable = !small && !options_.ckpt_dir.empty();
-  std::optional<runtime::CheckpointStore> store;
-  if (resumable) {
-    std::error_code ec;
-    fs::create_directories(options_.ckpt_dir, ec);
-    store.emplace(
-        (fs::path(options_.ckpt_dir) / (query.digest() + ".ckpt")).string());
-    if (auto recovery = store->load_latest()) {
-      if (decode_resume_payload(recovery->checkpoint.payload, key, total, succ,
-                                built)) {
-        out.resumed = true;
-        resume_resumed.add();
-        obs::log_event(obs::LogLevel::kInfo, "service.resume",
-                       {{"key", key}, {"built", built}, {"total", total}});
-      }
-    }
-  }
-
-  constexpr std::uint64_t kSegment = 1u << 14;
-  const auto build_segments = [&](phasespace::BatchCodeStepper& stepper,
-                                  runtime::RunControl& control) {
-    std::uint64_t last_saved = built;
-    runtime::StopReason reason = control.note_bytes(total * 8);
-    while (reason == runtime::StopReason::kNone && built < total) {
-      const std::uint64_t chunk = std::min(kSegment, total - built);
-      stepper.step_range(built, static_cast<std::size_t>(chunk),
-                         succ.data() + built);
-      built += chunk;
-      reason = control.note_states(chunk);
-      if (store && built - last_saved >= options_.ckpt_every_states &&
-          built < total) {
-        runtime::Checkpoint ckpt;
-        ckpt.payload = encode_resume_payload(key, succ, built);
-        store->save(ckpt);
-        resume_saved.add();
-        last_saved = built;
-      }
-    }
-    // Persist progress past the last cadence point when stopping early, so
-    // the next identical request resumes from here.
-    if (store && built < total && built > last_saved) {
-      runtime::Checkpoint ckpt;
-      ckpt.payload = encode_resume_payload(key, succ, built);
-      store->save(ckpt);
-      resume_saved.add();
-    }
-    return reason;
-  };
-
-  if (small) {
-    small_n.add();
-    runtime::RunControl control(budget.to_run_budget(), std::move(token));
-    phasespace::BatchCodeStepper stepper =
-        make_stepper(a, query, runtime::EngineRung::kWideSimd);
-    phasespace::note_batch_fallback(stepper, a, "service.build");
-    const runtime::StopReason reason = build_segments(stepper, control);
-    if (built < total) {
-      out.status = QueryOutcome::Status::kTruncated;
-      out.stop_reason = reason;
-      out.states_done = built;
-      truncated.add();
-      return out;
-    }
-  } else {
-    supervised.add();
-    runtime::SupervisorOptions opts = options_.supervisor;
-    opts.attempt_budget = budget.to_run_budget();
-    if (budget.wall_ms != 0) {
-      opts.deadline = std::chrono::milliseconds(budget.wall_ms);
-    }
-    opts.token = std::move(token);
-    runtime::Supervisor sup(opts);
-    const runtime::SupervisorReport report = sup.run(
-        "service.build", [&](runtime::AttemptContext& ctx) {
-          phasespace::BatchCodeStepper stepper =
-              make_stepper(a, query, ctx.rung);
-          const runtime::StopReason reason =
-              build_segments(stepper, ctx.control);
-          return reason == runtime::StopReason::kNone && built == total
-                     ? runtime::AttemptOutcome::kCompleted
-                     : runtime::AttemptOutcome::kTruncated;
-        });
-    out.degraded = report.degraded;
-    if (!report.ok()) {
-      out.status = QueryOutcome::Status::kFailed;
-      out.error_code = report.last_error;
-      out.error = report.last_error_what;
-      out.states_done = built;
-      failed.add();
-      return out;
-    }
-    if (built < total) {
-      out.status = QueryOutcome::Status::kTruncated;
-      out.stop_reason = report.last_status.stop_reason;
-      out.states_done = built;
-      truncated.add();
-      return out;
-    }
-  }
-
-  out.states_done = built;
-  // Completed table -> configured storage backend. kFlat adopts the
-  // vector as-is; kPacked re-encodes to n bits per successor and drops
-  // the 8-byte staging table; kDisk spills under ckpt_dir/store/ and
-  // streams results back with bounded RAM. Result derivation is
-  // backend-generic (result_from_graph), so all three agree bit-for-bit.
+  out.states_total = std::uint64_t{1} << query.n;
   phasespace::StoreKind store_kind = options_.store;
   if (store_kind == phasespace::StoreKind::kDisk &&
       options_.ckpt_dir.empty()) {
@@ -432,42 +279,170 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
                     {"fallback", "flat"}});
     store_kind = phasespace::StoreKind::kFlat;
   }
-  std::optional<phasespace::FunctionalGraph> fg;
-  if (store_kind == phasespace::StoreKind::kFlat) {
-    fg.emplace(
-        phasespace::FunctionalGraph::from_table(query.n, std::move(succ)));
-  } else {
-    const std::string disk_dir =
-        store_kind == phasespace::StoreKind::kDisk
-            ? (fs::path(options_.ckpt_dir) / "store" / query.digest()).string()
-            : std::string();
-    std::shared_ptr<phasespace::SuccessorStore> backend =
-        phasespace::make_store(store_kind, query.n, disk_dir);
-    backend->put_range(0, static_cast<std::size_t>(total), succ.data());
-    backend->finalize();
-    succ = {};  // release the 8-byte staging table before deriving results
-    fg.emplace(phasespace::FunctionalGraph::from_store(std::move(backend)));
-  }
+  const bool small = query.n <= options_.small_n_bits;
+  std::optional<phasespace::FunctionalGraph> fg =
+      small ? build_small(query, budget, std::move(token), store_kind, out)
+            : build_supervised(query, budget, std::move(token), store_kind,
+                               out);
+  if (!fg) return out;
+
+  out.states_done = out.states_total;
   out.result = result_from_graph(query, *fg);
   out.status = QueryOutcome::Status::kOk;
 
   // The spilled table is scratch space for result derivation, not a
   // cache (the RESULT cache lives in front of the engine); reclaim it.
-  if (store_kind == phasespace::StoreKind::kDisk) {
+  if (!options_.ckpt_dir.empty() &&
+      (!small || store_kind == phasespace::StoreKind::kDisk)) {
     fg.reset();  // unmap before unlinking
     std::error_code ec;
-    fs::remove_all(fs::path(options_.ckpt_dir) / "store" / query.digest(), ec);
-  }
-
-  // A completed build's resume checkpoints are dead weight (the RESULT is
-  // now in the cache); drop them. Quarantined files are left alone.
-  if (store) {
-    for (const std::string& path : store->generations()) {
-      std::error_code ec;
-      fs::remove(path, ec);
-    }
+    fs::remove_all(store_dir(options_, query), ec);
   }
   return out;
+}
+
+std::optional<phasespace::FunctionalGraph> QueryEngine::build_small(
+    const ServiceQuery& query, const RequestBudget& budget,
+    runtime::CancelToken token, phasespace::StoreKind store_kind,
+    QueryOutcome& out) const {
+  static obs::Counter& small_n = obs::counter("service.engine.small_n");
+  static obs::Counter& truncated = obs::counter("service.engine.truncated");
+  static obs::Counter& failed = obs::counter("service.engine.failed");
+
+  const core::Automaton a = query.automaton();
+  const std::uint64_t total = out.states_total;
+  std::vector<phasespace::StateCode> succ;
+  try {
+    succ.resize(total);
+  } catch (const std::bad_alloc&) {
+    out.status = QueryOutcome::Status::kFailed;
+    out.error_code = ErrorCode::kDomainTooLarge;
+    out.error = "successor table allocation failed";
+    failed.add();
+    return std::nullopt;
+  }
+
+  small_n.add();
+  runtime::RunControl control(budget.to_run_budget(), std::move(token));
+  phasespace::BatchCodeStepper stepper =
+      query.scheme == Scheme::kSweep
+          ? phasespace::BatchCodeStepper(a, query.effective_order())
+          : phasespace::BatchCodeStepper(a, runtime::EngineRung::kWideSimd);
+  phasespace::note_batch_fallback(stepper, a, "service.build");
+  // The budget is checked between blocks of this many states.
+  constexpr std::uint64_t kBlock = 1u << 14;
+  std::uint64_t built = 0;
+  runtime::StopReason reason = control.note_bytes(total * 8);
+  while (reason == runtime::StopReason::kNone && built < total) {
+    const std::uint64_t chunk = std::min(kBlock, total - built);
+    stepper.step_range(built, static_cast<std::size_t>(chunk),
+                       succ.data() + built);
+    built += chunk;
+    reason = control.note_states(chunk);
+  }
+  if (built < total) {
+    out.status = QueryOutcome::Status::kTruncated;
+    out.stop_reason = reason;
+    out.states_done = built;
+    truncated.add();
+    return std::nullopt;
+  }
+
+  // kFlat adopts the table as-is; kPacked re-encodes to n bits per
+  // successor and kDisk spills under ckpt_dir/store/, both dropping the
+  // 8-byte table before results are derived.
+  if (store_kind == phasespace::StoreKind::kFlat) {
+    return phasespace::FunctionalGraph::from_table(query.n, std::move(succ));
+  }
+  const std::string disk_dir = store_kind == phasespace::StoreKind::kDisk
+                                   ? store_dir(options_, query).string()
+                                   : std::string();
+  std::shared_ptr<phasespace::SuccessorStore> backend =
+      phasespace::make_store(store_kind, query.n, disk_dir);
+  backend->put_range(0, static_cast<std::size_t>(total), succ.data());
+  backend->finalize();
+  succ = {};
+  return phasespace::FunctionalGraph::from_store(std::move(backend));
+}
+
+std::optional<phasespace::FunctionalGraph> QueryEngine::build_supervised(
+    const ServiceQuery& query, const RequestBudget& budget,
+    runtime::CancelToken token, phasespace::StoreKind store_kind,
+    QueryOutcome& out) const {
+  static obs::Counter& supervised = obs::counter("service.engine.supervised");
+  static obs::Counter& truncated = obs::counter("service.engine.truncated");
+  static obs::Counter& failed = obs::counter("service.engine.failed");
+  static obs::Counter& resume_saved = obs::counter("service.resume.saved");
+  static obs::Counter& resume_resumed = obs::counter("service.resume.resumed");
+
+  supervised.add();
+  const core::Automaton a = query.automaton();
+  const bool resumable = !options_.ckpt_dir.empty();
+
+  // With a ckpt dir every build spills kDisk extents, so a truncated or
+  // killed build resumes from its digest-valid shards; without one it
+  // writes straight into the configured backend.
+  phasespace::ShardedBuildOptions build_options;
+  build_options.workers = phasespace::workers_for_states(out.states_total);
+  build_options.store = resumable ? phasespace::StoreKind::kDisk : store_kind;
+  if (resumable) {
+    const fs::path dir = store_dir(options_, query);
+    claim_store_dir(dir, query.canonical_key());
+    build_options.disk_dir = dir.string();
+    build_options.resume = true;
+  }
+
+  runtime::SupervisorOptions opts = options_.supervisor;
+  opts.attempt_budget = budget.to_run_budget();
+  if (budget.wall_ms != 0) {
+    opts.deadline = std::chrono::milliseconds(budget.wall_ms);
+  }
+  opts.token = std::move(token);
+  runtime::Supervisor sup(opts);
+  phasespace::ShardedBuild build;
+  const runtime::SupervisorReport report = sup.run(
+      "service.build", [&](runtime::AttemptContext& ctx) {
+        // Synchronous builds honor the degradation-ladder rung; the sweep
+        // map is inherently per-code and runs the dispatched tier.
+        build_options.rung = ctx.rung;
+        build = query.scheme == Scheme::kSweep
+                    ? phasespace::build_sweep_sharded(
+                          a, query.effective_order(), build_options,
+                          ctx.control)
+                    : phasespace::build_synchronous_sharded(a, build_options,
+                                                            ctx.control);
+        if (ctx.attempt == 1 && build.stats.resumed_states != 0) {
+          out.resumed = true;
+          resume_resumed.add();
+          obs::log_event(obs::LogLevel::kInfo, "service.resume",
+                         {{"key", query.canonical_key()},
+                          {"resumed", build.stats.resumed_states},
+                          {"total", out.states_total}});
+        }
+        return build.complete() ? runtime::AttemptOutcome::kCompleted
+                                : runtime::AttemptOutcome::kTruncated;
+      });
+  out.degraded = report.degraded;
+  out.states_done = build.stats.stored_states;
+  if (!report.ok()) {
+    out.status = QueryOutcome::Status::kFailed;
+    out.error_code = report.last_error;
+    out.error = report.last_error_what;
+    failed.add();
+    return std::nullopt;
+  }
+  if (!build.complete()) {
+    out.status = QueryOutcome::Status::kTruncated;
+    out.stop_reason = report.last_status.stop_reason;
+    truncated.add();
+    if (resumable && out.states_done != 0) resume_saved.add();
+    return std::nullopt;
+  }
+  if (!resumable || store_kind == phasespace::StoreKind::kDisk) {
+    return std::move(*build.build.graph);
+  }
+  return phasespace::FunctionalGraph::from_store(
+      load_into(store_kind, *build.store));
 }
 
 }  // namespace tca::service

@@ -13,11 +13,15 @@
 //    recomputing.
 //  * LARGE-N SUPERVISED — everything else runs under runtime::Supervisor
 //    (retry + engine-degradation ladder) with a per-request RunBudget and
-//    CancelToken, in checkpointed segments: every ckpt_every_states
-//    states the successor-table prefix is saved through a
-//    runtime::CheckpointStore keyed by the query digest, so a budget-
-//    truncated or killed build RESUMES from its last checkpoint on the
-//    next identical request instead of restarting. (The synchronous GoE
+//    CancelToken, one sharded build per attempt
+//    (phasespace::build_synchronous_sharded / build_sweep_sharded, one
+//    worker per 2^20 states). With a ckpt_dir the build spills kDisk
+//    extents under ckpt_dir/store/<digest>, each state once, and a
+//    budget-truncated or killed build RESUMES on the next identical
+//    request by skipping every digest-valid shard. The canonical key is
+//    recorded beside the extents, so a digest collision wipes them
+//    instead of seeding the wrong build. Without a ckpt_dir the build
+//    writes straight into the configured store. (The synchronous GoE
 //    census goes through phasespace::supervised_goe_census; its
 //    reached-states bitmap is not checkpointed — a retry restarts the
 //    scan. Graph-building queries are the resumable ones.)
@@ -30,9 +34,11 @@
 // service.resume.{saved,resumed}.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "core/annotations.hpp"
+#include "phasespace/functional_graph.hpp"
 #include "phasespace/successor_store.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/supervisor.hpp"
@@ -41,11 +47,8 @@
 namespace tca::service {
 
 struct EngineOptions {
-  /// Directory for resume checkpoints; empty disables resumability.
+  /// Directory for resumable large-n builds; empty disables resume.
   std::string ckpt_dir;
-  /// Save a resume checkpoint every this many newly built states (large-n
-  /// supervised builds only).
-  std::uint64_t ckpt_every_states = 1u << 18;
   /// Builds with n <= this many bits take the unsupervised direct path.
   std::uint32_t small_n_bits = 16;
   /// Explicit builds admitted concurrently; further requests queue.
@@ -55,11 +58,12 @@ struct EngineOptions {
   runtime::SupervisorOptions supervisor;
   /// Successor-storage backend completed explicit graphs are held in
   /// while results are derived (docs/service.md "storage backends"):
-  /// kFlat keeps the raw 8-byte table, kPacked re-encodes to n bits per
-  /// successor (~8x smaller resident set per admitted build at n=26),
-  /// kDisk spills the table under ckpt_dir and streams results back with
-  /// bounded RAM. All backends produce bit-identical results (pinned by
-  /// the store-backend-agree oracle).
+  /// kFlat keeps the raw 8-byte table, kPacked n bits per successor
+  /// (~8x smaller resident set per admitted build at n=26), kDisk the
+  /// extents under ckpt_dir, streamed back with bounded RAM. A resumable
+  /// build streams its finished extents into kFlat or kPacked and uses
+  /// them in place for kDisk. All backends produce bit-identical results
+  /// (pinned by the store-backend-agree oracle).
   phasespace::StoreKind store = phasespace::StoreKind::kFlat;
 };
 
@@ -78,9 +82,11 @@ struct QueryOutcome {
   Status status = Status::kFailed;
   QueryResult result;  ///< valid iff status == kOk
   runtime::StopReason stop_reason = runtime::StopReason::kNone;
+  /// Truncated large-n builds: states held by whole stored shards, which
+  /// a resume skips when a ckpt_dir is set.
   std::uint64_t states_done = 0;
   std::uint64_t states_total = 0;
-  bool resumed = false;   ///< a resume checkpoint seeded this build
+  bool resumed = false;   ///< extents of an earlier request seeded this build
   bool degraded = false;  ///< the supervisor walked the engine ladder
   ErrorCode error_code = ErrorCode::kUnknown;
   std::string error;
@@ -117,6 +123,16 @@ class QueryEngine {
   QueryOutcome run_goe_supervised(const ServiceQuery& query,
                                   const RequestBudget& budget,
                                   runtime::CancelToken token);
+  /// run_explicit's two build paths: the completed graph, or nullopt with
+  /// `out` describing the truncation or failure.
+  std::optional<phasespace::FunctionalGraph> build_small(
+      const ServiceQuery& query, const RequestBudget& budget,
+      runtime::CancelToken token, phasespace::StoreKind store_kind,
+      QueryOutcome& out) const;
+  std::optional<phasespace::FunctionalGraph> build_supervised(
+      const ServiceQuery& query, const RequestBudget& budget,
+      runtime::CancelToken token, phasespace::StoreKind store_kind,
+      QueryOutcome& out) const;
 
   const EngineOptions options_;
 

@@ -122,11 +122,9 @@ void ServiceQuery::validate() const {
     bad_query("target is only meaningful for preimage-count");
   }
   if (needs_explicit_graph()) {
-    // Validation caps at the FLAT ceiling: the engine stages every build
-    // through an in-RAM flat table (the resume-payload format) before
-    // optionally re-encoding into a packed/disk backend for result
-    // derivation. Raising this requires a store-native build path
-    // (phasespace::build_synchronous_sharded straight into kDisk).
+    // Validation caps at the FLAT ceiling, the default result backend.
+    // Builds themselves are store-native (sharded, kDisk extents when
+    // resumable), so raising this is a policy choice per backend.
     const std::string context = std::string("service: ") + query_kind_name(kind);
     require_explicit_bits(
         n, phasespace::max_explicit_bits(phasespace::StoreKind::kFlat),

@@ -2,7 +2,8 @@
 // query keys and digests, the two-tier content-addressed cache (LRU
 // order, disk round-trip, quarantine-on-corrupt), the request
 // coalescer ("N identical concurrent requests start exactly one engine
-// build", counter-asserted), and the handler's error envelope.
+// build", counter-asserted), resumable large-n builds under a ckpt dir,
+// and the handler's error envelope.
 //
 // Every test that touches disk gets its own unique temp directory —
 // the suite must stay safe under `ctest -j`.
@@ -20,6 +21,7 @@
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "service/cache.hpp"
 #include "service/engine.hpp"
 #include "service/handler.hpp"
@@ -296,6 +298,77 @@ TEST(Coalescing, ConcurrentIdenticalRequestsStartOneBuild) {
   }
   EXPECT_EQ(computed, 1u);
   EXPECT_EQ(handler.active_requests(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Resumable large-n builds
+// ---------------------------------------------------------------------
+
+/// The answer of an engine without a ckpt dir: the reference every
+/// resumed or checkpointed answer must match byte for byte.
+std::string fresh_answer(const ServiceQuery& q) {
+  QueryEngine engine{EngineOptions{}};
+  const QueryOutcome out = engine.execute(q, RequestBudget{}, {});
+  EXPECT_TRUE(out.ok()) << out.error;
+  return out.result.to_json();
+}
+
+TEST(EngineResume, TruncatedBuildResumesToTheFreshAnswer) {
+  const TempDir dir;
+  EngineOptions options;
+  options.ckpt_dir = dir.str() + "/ckpt";
+  QueryEngine engine(options);
+  const ServiceQuery q = attractor_query(20);
+  obs::Counter& resumed = obs::counter("service.resume.resumed");
+
+  RequestBudget budget;
+  budget.max_states = 300000;
+  const QueryOutcome cut = engine.execute(q, budget, {});
+  ASSERT_EQ(cut.status, QueryOutcome::Status::kTruncated) << cut.error;
+  EXPECT_EQ(cut.stop_reason, runtime::StopReason::kMaxStates);
+  EXPECT_EQ(cut.states_total, std::uint64_t{1} << 20);
+  // Only whole stored shards count: what the resume will skip.
+  const phasespace::StateCode shard =
+      phasespace::ShardedBuildOptions{}.shard_states;
+  EXPECT_GT(cut.states_done, 0u);
+  EXPECT_LE(cut.states_done, budget.max_states);
+  EXPECT_EQ(cut.states_done % shard, 0u);
+
+  const std::uint64_t resumed_before = resumed.value();
+  const QueryOutcome full = engine.execute(q, RequestBudget{}, {});
+  ASSERT_TRUE(full.ok()) << full.error;
+  EXPECT_TRUE(full.resumed);
+  EXPECT_EQ(resumed.value(), resumed_before + 1);
+  EXPECT_EQ(full.result.to_json(), fresh_answer(q));
+  EXPECT_FALSE(fs::exists(fs::path(options.ckpt_dir) / "store" / q.digest()));
+}
+
+TEST(EngineResume, ForeignExtentsUnderTheDigestAreWipedNotResumed) {
+  const TempDir dir;
+  EngineOptions options;
+  options.ckpt_dir = dir.str() + "/ckpt";
+  QueryEngine engine(options);
+  const ServiceQuery q = attractor_query(18);
+  const ServiceQuery other = query_from(
+      R"({"kind":"attractor-summary","n":18,"radius":1,"rule":"parity",)"
+      R"("topology":"ring"})");
+  const fs::path store = fs::path(options.ckpt_dir) / "store";
+
+  // Leave three of `other`'s four shards on disk, then move them under
+  // q's digest: what a 64-bit digest collision would look like.
+  RequestBudget budget;
+  budget.max_states = 200000;
+  ASSERT_EQ(engine.execute(other, budget, {}).status,
+            QueryOutcome::Status::kTruncated);
+  fs::rename(store / other.digest(), store / q.digest());
+
+  obs::Counter& resumed = obs::counter("service.resume.resumed");
+  const std::uint64_t resumed_before = resumed.value();
+  const QueryOutcome out = engine.execute(q, RequestBudget{}, {});
+  ASSERT_TRUE(out.ok()) << out.error;
+  EXPECT_FALSE(out.resumed);
+  EXPECT_EQ(resumed.value(), resumed_before);
+  EXPECT_EQ(out.result.to_json(), fresh_answer(q));
 }
 
 // ---------------------------------------------------------------------

@@ -158,6 +158,7 @@ TEST(ShardedBuild, DiskTruncationThenResumeIsBitIdentical) {
   options.workers = 1;
 
   // Pass 1: budget trips mid-build; some whole shards land on disk.
+  std::uint64_t stored = 0;
   {
     runtime::RunBudget budget;
     budget.max_states = 700;  // > 1 shard, < all 4
@@ -165,13 +166,19 @@ TEST(ShardedBuild, DiskTruncationThenResumeIsBitIdentical) {
     const ShardedBuild out = build_synchronous_sharded(a, options, control);
     ASSERT_FALSE(out.complete());
     ASSERT_NE(out.store, nullptr);  // partial disk store, for resume
+    // Whole stored shards only: the abandoned partial shard is not
+    // counted, though its states were charged to the budget.
+    stored = out.stats.stored_states;
+    EXPECT_EQ(stored, kPutAlign);
+    EXPECT_GT(out.build.states_built, stored);
   }
   // Pass 2: resume skips the spilled shards and completes the rest.
   options.resume = true;
   runtime::RunControl control{runtime::RunBudget{}};
   const ShardedBuild out = build_synchronous_sharded(a, options, control);
   ASSERT_TRUE(out.complete());
-  EXPECT_GT(out.stats.resumed_states, 0u);
+  EXPECT_EQ(out.stats.resumed_states, stored);
+  EXPECT_EQ(out.stats.stored_states, std::uint64_t{1} << 11);
   EXPECT_EQ(table_of(*out.store), serial.successors());
 }
 

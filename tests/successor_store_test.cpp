@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -306,6 +307,36 @@ TEST(DiskStore, ResumeSurvivesTruncatedDataFile) {
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(kept[0].first, 0u);
   EXPECT_EQ(kept[0].count, kPutAlign);
+}
+
+TEST(DiskStore, UnfinalizedStoreKeepsAtLeastHalfItsExtents) {
+  // A killed build never reaches finalize(); the manifest re-saved at
+  // every doubling of the extent count must still name at least half of
+  // the finished extents.
+  TempDir dir("killed");
+  constexpr std::uint32_t kBits = 10;
+  constexpr std::size_t kExtents = 13;  // last doubling save at 8
+  constexpr std::size_t kEntries = 16 * kPutAlign;
+  const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
+  {
+    DiskStore store(kBits, dir.path().string(), kEntries);
+    for (std::size_t i = 0; i < kExtents; ++i) {
+      store.put_range(i * kPutAlign, kPutAlign, want.data() + i * kPutAlign);
+    }
+    // Destroyed without finalize(), as by SIGKILL mid-build.
+  }
+  DiskStore reopened(kBits, dir.path().string(), kEntries);
+  const std::vector<DiskStore::Extent> kept = reopened.resume();
+  EXPECT_GE(2 * kept.size(), kExtents);
+  EXPECT_LE(kept.size(), kExtents);
+  for (const DiskStore::Extent& e : kept) {
+    ASSERT_EQ(e.count, kPutAlign);
+    std::vector<StateCode> got(kPutAlign);
+    reopened.read_range(e.first, kPutAlign, got.data());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                           want.begin() + static_cast<std::ptrdiff_t>(e.first)))
+        << "extent at " << e.first;
+  }
 }
 
 TEST(DiskStore, ResumeOnEmptyDirectoryIsEmpty) {

@@ -97,6 +97,34 @@ TEST(TcadE2e, AllQueryKindsMatchTheLibraryOverUds) {
   EXPECT_EQ(server.handler().active_requests(), 0u);
 }
 
+TEST(TcadE2e, TruncatedBuildResumesOverTheWire) {
+  const TempDir dir;
+  ServerOptions options;
+  options.uds_path = dir.str() + "/tcad.sock";
+  options.handler.engine.ckpt_dir = dir.str() + "/ckpt";
+  TcadServer server(options);
+  server.start();
+
+  const std::string query =
+      R"({"kind":"transient-depth","n":18,"radius":1,"rule":"majority",)"
+      R"("topology":"line"})";
+  TcadClient client = TcadClient::connect_uds(server.uds_path());
+  const JsonValue cut = parse_json(client.call(
+      R"({"op":"query","id":1,"query":)" + query +
+      R"(,"budget":{"max_states":150000}})"));
+  ASSERT_EQ(cut.string_or("status", ""), "truncated");
+  EXPECT_TRUE(cut.bool_or("resumable", false));
+  EXPECT_GT(cut.u64_or("states_done", 0), 0u);
+
+  const std::string response = client.call(
+      R"({"op":"query","id":2,"query":)" + query + "}");
+  ASSERT_EQ(parse_json(response).string_or("status", ""), "ok") << response;
+  EXPECT_EQ(result_of(response), library_answer(query));
+
+  server.stop();
+  EXPECT_EQ(server.handler().active_requests(), 0u);
+}
+
 TEST(TcadE2e, TcpListenerServesTheSameCacheAsUds) {
   const TempDir dir;
   ServerOptions options;
