@@ -4,14 +4,15 @@
 // Each seeded scenario composes a multi-knob runtime::FaultPlan (injected
 // allocation failures with size floors, mid-build cancellation, checkpoint
 // write failures and read corruption, forced transient attempt failures,
-// thread-pool chunk exceptions and spawn failures) and runs a supervised
-// workload under it:
+// sharded-build shard exceptions and spawn failures) and runs a
+// supervised workload under it:
 //
 //   * mode A — a segmented synchronous phase-space build that checkpoints
 //     each segment into a generational CheckpointStore and resumes from
 //     the newest checksum-valid generation on retry;
-//   * mode B — a parallel phase-space build across a ThreadPool under the
-//     Supervisor's retry/degradation ladder;
+//   * mode B — a multi-worker sharded phase-space build
+//     (supervised_synchronous_sharded) under the Supervisor's
+//     retry/degradation ladder;
 //   * mode C — a DISK-BACKED sharded build killed mid-spill (budget trip
 //     between extents), with one spilled byte deliberately corrupted
 //     before a resume=true rebuild: the digest revalidation must drop
@@ -37,12 +38,10 @@
 
 #include "bench/experiment_util.hpp"
 #include "core/automaton.hpp"
-#include "core/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "phasespace/functional_graph.hpp"
 #include "phasespace/sharded_build.hpp"
 #include "phasespace/successor_store.hpp"
-#include "phasespace/supervised.hpp"
 #include "runtime/ckpt_store.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/supervisor.hpp"
@@ -258,30 +257,25 @@ ScenarioOutcome run_segmented(const Scenario& s, const core::Automaton& a,
   return out;
 }
 
-/// Mode B: parallel build across a ThreadPool under the Supervisor. Chunk
-/// exceptions and spawn failures are the faults; a truncated parallel
-/// build is counts-only by contract.
+/// Mode B: a multi-worker sharded build under the Supervisor. Shard
+/// exceptions and spawn failures are the faults; a truncated build is
+/// counts-only by contract.
 ScenarioOutcome run_parallel(const Scenario& s, const core::Automaton& a,
                              const std::vector<phasespace::StateCode>& base) {
   const std::uint64_t count = std::uint64_t{1} << s.cells;
-  std::vector<phasespace::StateCode> table;
-  std::uint64_t states_built = 0;
-
-  runtime::Supervisor supervisor(supervisor_options(s));
-  const auto report = supervisor.run(
-      "chaos.parallel", [&](runtime::AttemptContext& ctx) {
-        core::ThreadPool pool(3);
-        auto build = phasespace::FunctionalGraph::build_synchronous_parallel(
-            a, pool, ctx.control);
-        states_built = build.states_built;
-        if (!build.complete()) return runtime::AttemptOutcome::kTruncated;
-        table = build.graph->successors();
-        return runtime::AttemptOutcome::kCompleted;
-      });
+  phasespace::ShardedBuildOptions options;
+  options.store = phasespace::StoreKind::kFlat;
+  options.shard_states = 64;
+  options.workers = 3;
+  const phasespace::SupervisedShardedBuild sup =
+      phasespace::supervised_synchronous_sharded(a, options,
+                                                 supervisor_options(s));
+  const runtime::SupervisorReport& report = sup.report;
 
   ScenarioOutcome out;
   if (report.state == runtime::SupervisedState::kCompleted) {
-    if (table != base) {
+    if (!sup.build.complete() ||
+        sup.build.build.graph->successors() != base) {
       out.note = "completed but table differs from fault-free baseline";
       return out;
     }
@@ -289,7 +283,8 @@ ScenarioOutcome run_parallel(const Scenario& s, const core::Automaton& a,
     return out;
   }
   if (report.state == runtime::SupervisedState::kTruncated) {
-    if (states_built > count) {
+    if (sup.build.build.states_built > count ||
+        sup.build.stats.stored_states > sup.build.build.states_built) {
       out.note = "truncated parallel build overcounts states";
       return out;
     }

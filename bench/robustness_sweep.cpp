@@ -4,8 +4,8 @@
 // exception isolation, budget truncation with well-formed partial results,
 // cooperative cancellation, deterministic fault injection, and checksummed
 // checkpoint/resume (`--checkpoint f --resume`): kill this binary halfway
-// through and resume — the final summary is bit-identical (the
-// kill-and-resume demo in scripts/resume_demo.sh asserts exactly that).
+// through and resume — the final summary is bit-identical
+// (tests/resume_supervised_test.cpp pins that contract).
 
 #include <cstdio>
 #include <new>
@@ -20,6 +20,7 @@
 #include "interleave/vm.hpp"
 #include "phasespace/functional_graph.hpp"
 #include "phasespace/preimage.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/fault.hpp"
 
@@ -39,19 +40,26 @@ core::Automaton xor_ring(std::size_t n) {
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
-/// Serial, sweep, parallel, and budgeted phase-space builds of the same
-/// automaton must agree bit-for-bit.
+/// The phase-space facade (one worker at 2^20 states), a four-worker
+/// packed build and a budgeted build of the same automaton must agree
+/// bit-for-bit.
 bench::ExperimentResult phase_space_engines(runtime::RunControl& control) {
   const auto a = xor_ring(20);
   const auto serial = phasespace::FunctionalGraph::synchronous(a);
-  core::ThreadPool pool(0);
-  const auto parallel = phasespace::FunctionalGraph::synchronous_parallel(
-      a, pool);
+  phasespace::ShardedBuildOptions options;
+  options.store = phasespace::StoreKind::kPacked;
+  options.workers = 4;
+  runtime::RunControl unlimited;
+  const auto parallel =
+      phasespace::build_synchronous_sharded(a, options, unlimited);
+  options.store = phasespace::StoreKind::kFlat;
   const auto budgeted =
-      phasespace::FunctionalGraph::build_synchronous(a, control);
-  const bool ok = budgeted.complete() &&
-                  serial.successors() == parallel.successors() &&
-                  serial.successors() == budgeted.graph->successors();
+      phasespace::build_synchronous_sharded(a, options, control);
+  bool ok = parallel.complete() && budgeted.complete() &&
+            serial.successors() == budgeted.build.graph->successors();
+  for (phasespace::StateCode s = 0; ok && s < serial.num_states(); ++s) {
+    ok = parallel.build.graph->succ(s) == serial.succ(s);
+  }
   return {ok, "2^20 states; serial == parallel == budgeted"};
 }
 
@@ -186,25 +194,42 @@ bench::ExperimentResult fault_injection_drill(runtime::RunControl&) {
       alloc_caught = true;
     }
   }
-  bool chunk_caught = false;
-  {
+  phasespace::ShardedBuildOptions options;
+  options.store = phasespace::StoreKind::kFlat;
+  options.shard_states = 64;
+  options.workers = 4;
+  // The first pool chunk throws, and so does the first sharded-build
+  // shard; both surface at the join.
+  const auto chunk_fault_caught = [](const auto& run) {
     runtime::ScopedFaultPlan plan({.chunk_exception_at = 1});
-    core::ThreadPool pool(2);
     try {
-      (void)phasespace::FunctionalGraph::synchronous_parallel(a, pool);
+      run();
     } catch (const tca::InjectedFaultError&) {
-      chunk_caught = true;
+      return true;
     }
-  }
+    return false;
+  };
+  const bool chunk_caught =
+      chunk_fault_caught([] {
+        core::ThreadPool pool(2);
+        pool.parallel_for(0, 1024, 64, [](std::size_t, std::size_t) {});
+      }) &&
+      chunk_fault_caught([&] {
+        runtime::RunControl unlimited;
+        (void)phasespace::build_synchronous_sharded(a, options, unlimited);
+      });
+  const auto serial = phasespace::FunctionalGraph::synchronous(a);
   bool degraded_ok = false;
   {
     runtime::ScopedFaultPlan plan({.fail_thread_spawn = true});
     core::ThreadPool pool(4);  // spawn fails; pool degrades to serial
-    const auto serial = phasespace::FunctionalGraph::synchronous(a);
-    const auto fallback = phasespace::FunctionalGraph::synchronous_parallel(
-        a, pool);
+    runtime::RunControl unlimited;
+    // Every worker spawn fails: the build runs on the calling thread.
+    const auto fallback =
+        phasespace::build_synchronous_sharded(a, options, unlimited);
     degraded_ok = pool.size() == 1 &&  // caller only: every spawn failed
-                  serial.successors() == fallback.successors();
+                  fallback.complete() &&
+                  serial.successors() == fallback.build.graph->successors();
   }
   const bool ok = alloc_caught && chunk_caught && degraded_ok;
   return {ok, std::string("alloc fault -> bad_alloc: ") +
@@ -225,9 +250,8 @@ int main(int argc, char** argv) {
       "checkpoint/resume, and fault injection over the paper's engines.");
 
   // The cheap granularity check runs first so the first checkpoint lands
-  // within milliseconds — scripts/resume_demo.sh kills the process as soon
-  // as that checkpoint appears, while the heavy experiments are still
-  // pending.
+  // within milliseconds: a run killed as soon as that checkpoint appears
+  // still has the heavy experiments pending.
   bench::ExperimentDriver driver("RBST", opts);
   driver.run("interleave-granularity", interleave_granularity);
   driver.run("phase-space-engines", phase_space_engines);

@@ -220,8 +220,6 @@ def _required_call_rule(
 # must refuse un-askable n with a budget-aware error instead of OOM.
 EXPLICIT_BITS_ENTRIES = (
     EntryPoint("src/phasespace/functional_graph.cpp",
-               r"FunctionalGraphBuild\s+build_serial", "build_serial"),
-    EntryPoint("src/phasespace/functional_graph.cpp",
                r"FunctionalGraph::FunctionalGraph", "FunctionalGraph"),
     EntryPoint("src/phasespace/functional_graph.cpp",
                r"FunctionalGraph::from_table", "from_table"),
@@ -229,9 +227,6 @@ EXPLICIT_BITS_ENTRIES = (
                r"FunctionalGraph::synchronous\b", "synchronous"),
     EntryPoint("src/phasespace/functional_graph.cpp",
                r"FunctionalGraph::sweep\b", "sweep"),
-    EntryPoint("src/phasespace/functional_graph.cpp",
-               r"FunctionalGraph::build_synchronous_parallel",
-               "build_synchronous_parallel"),
     EntryPoint("src/phasespace/preimage.cpp",
                r"count_gardens_of_eden_ring", "count_gardens_of_eden_ring"),
     EntryPoint("src/phasespace/preimage.cpp",
@@ -254,16 +249,11 @@ EXPLICIT_BITS_ENTRIES = (
 # named span in chrome://tracing (docs/observability.md).
 SPAN_ENTRIES = (
     EntryPoint("src/phasespace/functional_graph.cpp",
-               r"FunctionalGraphBuild\s+build_serial", "build_serial"),
-    EntryPoint("src/phasespace/functional_graph.cpp",
                r"FunctionalGraph::FunctionalGraph", "FunctionalGraph"),
     EntryPoint("src/phasespace/functional_graph.cpp",
                r"FunctionalGraph::synchronous\b", "synchronous"),
     EntryPoint("src/phasespace/functional_graph.cpp",
                r"FunctionalGraph::sweep\b", "sweep"),
-    EntryPoint("src/phasespace/functional_graph.cpp",
-               r"FunctionalGraph::build_synchronous_parallel",
-               "build_synchronous_parallel"),
     EntryPoint("src/phasespace/preimage.cpp",
                r"count_gardens_of_eden_ring", "count_gardens_of_eden_ring"),
     EntryPoint("src/phasespace/preimage.cpp",

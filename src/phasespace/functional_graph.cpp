@@ -6,92 +6,22 @@
 
 #include "core/sequential.hpp"
 #include "core/synchronous.hpp"
-#include "core/synchronous_fast.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "runtime/error.hpp"
 #include "runtime/fault.hpp"
 
 namespace tca::phasespace {
 namespace {
 
-/// One batched publish per build (docs/observability.md).
-void publish_build_tallies(std::uint64_t states_built) {
-  static obs::Counter& builds = obs::counter("phasespace.build.runs");
-  static obs::Counter& states = obs::counter("phasespace.build.states");
-  builds.add();
-  states.add(states_built);
-}
-
-/// Counter + structured event for every batch-engine decline
-/// (docs/performance.md): silent de-optimization must show up in run
-/// manifests.
-void publish_batch_fallback(const core::Automaton& a, const char* reason,
-                            const char* context) {
-  static obs::Counter& fallbacks = obs::counter("engine.batch.fallback");
-  fallbacks.add();
-  obs::log_event(
-      obs::LogLevel::kWarn, "engine.batch.fallback",
-      {{"context", context},
-       {"reason", reason != nullptr ? reason : "unknown"},
-       {"rule", a.homogeneous() ? rules::describe(a.rule(0)) : "per-node"},
-       {"cells", static_cast<std::uint64_t>(a.size())}});
-}
-
-/// The number of additional successor-table entries the control's budget
-/// still admits (for reserving exactly the prefix a truncated build can
-/// produce).
-StateCode budget_capped_entries(const runtime::RunControl& control,
-                                StateCode count) {
-  const auto& budget = control.budget();
-  const auto status = control.status();
-  StateCode cap = count;
-  if (budget.max_states != runtime::RunBudget::kUnlimited) {
-    const std::uint64_t left =
-        budget.max_states > status.states ? budget.max_states - status.states
-                                          : 0;
-    cap = std::min<StateCode>(cap, left);
-  }
-  if (budget.max_bytes != runtime::RunBudget::kUnlimited) {
-    const std::uint64_t left =
-        budget.max_bytes > status.bytes ? budget.max_bytes - status.bytes : 0;
-    cap = std::min<StateCode>(cap, left / sizeof(StateCode));
-  }
-  return cap;
-}
-
-/// Serial budgeted build over an arbitrary code-step function. Charges one
-/// state + 8 bytes per entry; on a stop, the computed prefix is returned.
-FunctionalGraphBuild build_serial(std::uint32_t bits, const CodeStepFn& step,
-                                  runtime::RunControl& control,
-                                  const char* context) {
-  TCA_SPAN("phase_space_build");
-  tca::require_explicit_bits(bits, kMaxExplicitBits, context);
-  const StateCode count = StateCode{1} << bits;
-  FunctionalGraphBuild out;
-  // Reserve only what the budget admits: a truncated build then fills its
-  // prefix without doubling reallocations, and never pre-commits memory
-  // the byte budget would refuse.
-  const StateCode reserve = budget_capped_entries(control, count);
-  runtime::fault::check_alloc(reserve * sizeof(StateCode));
-  out.partial_succ.reserve(reserve);
-  for (StateCode s = 0; s < count; ++s) {
-    if (control.note_states() != runtime::StopReason::kNone ||
-        control.note_bytes(sizeof(StateCode)) != runtime::StopReason::kNone) {
-      out.states_built = s;
-      out.status = control.status();
-      publish_build_tallies(out.states_built);
-      return out;
-    }
-    out.partial_succ.push_back(step(s));
-  }
-  out.states_built = count;
-  out.status = control.status();
-  out.graph = FunctionalGraph::from_table(bits, std::move(out.partial_succ));
-  out.partial_succ.clear();
-  publish_build_tallies(out.states_built);
-  return out;
+/// The facades' build: a flat table, one worker per 2^20 states.
+ShardedBuildOptions facade_options(std::uint32_t bits) {
+  ShardedBuildOptions options;
+  options.store = StoreKind::kFlat;
+  options.workers = workers_for_states(StateCode{1} << bits);
+  return options;
 }
 
 }  // namespace
@@ -112,7 +42,11 @@ FunctionalGraph::FunctionalGraph(std::uint32_t bits, const CodeStepFn& step)
   for (StateCode s = 0; s < count; ++s) succ[s] = step(s);
   store_ = std::make_shared<FlatStore>(bits, std::move(succ));
   flat_ = store_->flat_table()->data();
-  publish_build_tallies(count);
+  // One batched publish per build (docs/observability.md).
+  static obs::Counter& builds = obs::counter("phasespace.build.runs");
+  static obs::Counter& states = obs::counter("phasespace.build.states");
+  builds.add();
+  states.add(count);
 }
 
 FunctionalGraph FunctionalGraph::from_table(std::uint32_t bits,
@@ -175,22 +109,11 @@ FunctionalGraph FunctionalGraph::synchronous(const core::Automaton& a) {
   const auto bits = static_cast<std::uint32_t>(a.size());
   tca::require_explicit_bits(bits, kMaxExplicitBits,
                              "FunctionalGraph::synchronous");
-  const StateCode count = StateCode{1} << bits;
-  runtime::fault::check_alloc(count * sizeof(StateCode));
-  BatchCodeStepper stepper(a);
-  note_batch_fallback(stepper, a, "FunctionalGraph::synchronous");
-  std::vector<StateCode> table(count);
-  stepper.step_range(0, count, table.data());
-  publish_build_tallies(count);
-  return from_table(bits, std::move(table));
-}
-
-FunctionalGraph FunctionalGraph::synchronous_parallel(const core::Automaton& a,
-                                                      core::ThreadPool& pool) {
   runtime::RunControl unlimited;
-  auto build = build_synchronous_parallel(a, pool, unlimited);
   // Unlimited control: the build either completes or throws.
-  return std::move(*build.graph);
+  return std::move(
+      *build_synchronous_sharded(a, facade_options(bits), unlimited)
+           .build.graph);
 }
 
 FunctionalGraph FunctionalGraph::sweep(const core::Automaton& a,
@@ -199,110 +122,14 @@ FunctionalGraph FunctionalGraph::sweep(const core::Automaton& a,
   const auto bits = static_cast<std::uint32_t>(a.size());
   tca::require_explicit_bits(bits, kMaxExplicitBits,
                              "FunctionalGraph::sweep");
-  const StateCode count = StateCode{1} << bits;
-  runtime::fault::check_alloc(count * sizeof(StateCode));
-  BatchCodeStepper stepper(a, std::move(order));
-  note_batch_fallback(stepper, a, "FunctionalGraph::sweep");
-  std::vector<StateCode> table(count);
-  stepper.step_range(0, count, table.data());
-  publish_build_tallies(count);
-  return from_table(bits, std::move(table));
-}
-
-FunctionalGraphBuild FunctionalGraph::build_synchronous(
-    const core::Automaton& a, runtime::RunControl& control) {
-  return build_serial(static_cast<std::uint32_t>(a.size()),
-                      synchronous_code_step(a), control,
-                      "FunctionalGraph::build_synchronous");
-}
-
-FunctionalGraphBuild FunctionalGraph::build_sweep(
-    const core::Automaton& a, std::vector<core::NodeId> order,
-    runtime::RunControl& control) {
-  return build_serial(static_cast<std::uint32_t>(a.size()),
-                      sweep_code_step(a, std::move(order)), control,
-                      "FunctionalGraph::build_sweep");
-}
-
-FunctionalGraphBuild FunctionalGraph::build_synchronous_parallel(
-    const core::Automaton& a, core::ThreadPool& pool,
-    runtime::RunControl& control) {
-  TCA_SPAN("phase_space_build");
-  const auto bits = static_cast<std::uint32_t>(a.size());
-  tca::require_explicit_bits(bits, kMaxExplicitBits,
-                             "FunctionalGraph::build_synchronous_parallel");
-  const StateCode count = StateCode{1} << bits;
-  FunctionalGraphBuild out;
-
-  // The parallel builder needs the whole table up front (chunks write into
-  // disjoint slices); charge it before allocating.
-  if (control.note_bytes(count * sizeof(StateCode)) !=
-      runtime::StopReason::kNone) {
-    out.status = control.status();
-    return out;
-  }
-  runtime::fault::check_alloc(count * sizeof(StateCode));
-
-  std::vector<StateCode> table(count);
-  StateCode* data = table.data();
-  runtime::RunControl* ctl = &control;
-  // The batch decision is made once per build; workers then carry their
-  // own stepper (plans + slices + fallback buffers are per-thread state).
-  const auto support = core::batch_support(a);
-  if (!support.ok) {
-    publish_batch_fallback(a, support.reason,
-                           "FunctionalGraph::build_synchronous_parallel");
-  }
-  // Each participant evaluates contiguous state ranges with its own
-  // buffers: writes are disjoint, reads are to the shared immutable
-  // automaton. The control is polled between chunks by the pool and every
-  // 1024 states inside a chunk; each 1024-state block is 16 batch steps.
-  //
-  // Thread-safety discipline (docs/static-analysis.md): this builder owns
-  // no lockable state, so there is nothing here for TCA_GUARDED_BY. The
-  // invariants it relies on live elsewhere and ARE annotation-checked:
-  // chunk handout and the join barrier in core::ThreadPool (its dispatch
-  // state is TCA_GUARDED_BY its mutex), and cooperative stop via
-  // RunControl's atomics. `data` stays race-free because parallel_for
-  // hands out non-overlapping [begin, end) ranges — the chunk cursor
-  // enforcing that is the pool's, not ours.
-  const auto reason = pool.parallel_for(
-      0, table.size(), /*align=*/1024,
-      [&a, data, ctl](std::size_t begin, std::size_t end) {
-        BatchCodeStepper stepper(a);
-        for (std::size_t s = begin; s < end;) {
-          const auto block = std::min<std::size_t>(1024, end - s);
-          if (ctl->note_states(block) != runtime::StopReason::kNone) {
-            return;  // abandon the rest of this chunk
-          }
-          stepper.step_range(s, block, data + s);
-          s += block;
-        }
-      },
-      &control);
-  out.status = control.status();
-  if (reason != runtime::StopReason::kNone || out.status.truncated()) {
-    // Truncated parallel builds have holes (chunks are interleaved), so no
-    // partial table is exposed — only the visit count.
-    out.states_built = out.status.states;
-    publish_build_tallies(out.states_built);
-    return out;
-  }
-  out.states_built = count;
-  out.graph = from_table(bits, std::move(table));
-  publish_build_tallies(out.states_built);
-  return out;
+  runtime::RunControl unlimited;
+  return std::move(*build_sweep_sharded(a, std::move(order),
+                                        facade_options(bits), unlimited)
+                        .build.graph);
 }
 
 BatchCodeStepper::BatchCodeStepper(const core::Automaton& a)
-    : a_(&a), sweep_mode_(false), front_(a.size()), back_(a.size()) {
-  const auto support = core::batch_support(a);
-  if (support.ok) {
-    stepper_ = core::make_wide_stepper(a);
-  } else {
-    reason_ = support.reason;
-  }
-}
+    : BatchCodeStepper(a, runtime::EngineRung::kWideSimd) {}
 
 BatchCodeStepper::BatchCodeStepper(const core::Automaton& a,
                                    std::vector<core::NodeId> order)
@@ -311,23 +138,13 @@ BatchCodeStepper::BatchCodeStepper(const core::Automaton& a,
       sweep_mode_(true),
       front_(a.size()),
       back_(a.size()) {
-  const auto support = core::batch_support(a);
-  if (support.ok) {
-    stepper_ = core::make_wide_stepper(a);
-  } else {
-    reason_ = support.reason;
-  }
+  init_batch(std::nullopt);
 }
 
 BatchCodeStepper::BatchCodeStepper(const core::Automaton& a,
                                    core::BatchIsa isa)
     : a_(&a), sweep_mode_(false), front_(a.size()), back_(a.size()) {
-  const auto support = core::batch_support(a);
-  if (support.ok) {
-    stepper_ = core::make_wide_stepper(a, isa);
-  } else {
-    reason_ = support.reason;
-  }
+  init_batch(isa);
 }
 
 BatchCodeStepper::BatchCodeStepper(const core::Automaton& a,
@@ -338,12 +155,7 @@ BatchCodeStepper::BatchCodeStepper(const core::Automaton& a,
       sweep_mode_(true),
       front_(a.size()),
       back_(a.size()) {
-  const auto support = core::batch_support(a);
-  if (support.ok) {
-    stepper_ = core::make_wide_stepper(a, isa);
-  } else {
-    reason_ = support.reason;
-  }
+  init_batch(isa);
 }
 
 BatchCodeStepper::BatchCodeStepper(const core::Automaton& a,
@@ -353,33 +165,23 @@ BatchCodeStepper::BatchCodeStepper(const core::Automaton& a,
       rung_(rung),
       front_(a.size()),
       back_(a.size()) {
-  switch (rung) {
-    case runtime::EngineRung::kWideSimd: {
-      const auto support = core::batch_support(a);
-      if (support.ok) {
-        stepper_ = core::make_wide_stepper(a);
-      } else {
-        reason_ = support.reason;
-      }
-      break;
-    }
-    case runtime::EngineRung::kBatch64: {
-      const auto support = core::batch_support(a);
-      if (support.ok) {
-        // The 64-lane bit-slice tier is compiled unconditionally, so
-        // forcing kScalar never throws for a supported automaton.
-        stepper_ = core::make_wide_stepper(a, core::BatchIsa::kScalar);
-      } else {
-        reason_ = support.reason;
-      }
-      break;
-    }
-    case runtime::EngineRung::kPacked:
-      fast_scalar_ = true;
-      break;
-    case runtime::EngineRung::kScalar:
-      break;
+  if (rung == runtime::EngineRung::kWideSimd) {
+    init_batch(std::nullopt);
+  } else if (rung == runtime::EngineRung::kBatch64) {
+    // The 64-lane bit-slice tier is compiled unconditionally, so forcing
+    // kScalar never throws for a supported automaton.
+    init_batch(core::BatchIsa::kScalar);
   }
+}
+
+void BatchCodeStepper::init_batch(std::optional<core::BatchIsa> isa) {
+  const auto support = core::batch_support(*a_);
+  if (!support.ok) {
+    reason_ = support.reason;
+    return;
+  }
+  stepper_ = isa ? core::make_wide_stepper(*a_, *isa)
+                 : core::make_wide_stepper(*a_);
 }
 
 void BatchCodeStepper::step_range(StateCode first, std::size_t count,
@@ -395,17 +197,12 @@ void BatchCodeStepper::step_range(StateCode first, std::size_t count,
     }
     return;
   }
-  // Scalar fallback: identical to the per-code adapters below. The
-  // kPacked rung takes the monomorphized kernel; results are bit-for-bit
-  // the same either way.
+  // Scalar fallback: identical to the per-code adapters below.
   for (std::size_t j = 0; j < count; ++j) {
     front_ = core::Configuration::from_bits(first + j, n);
     if (sweep_mode_) {
       core::apply_sequence(*a_, front_, order_);
       succ[j] = front_.to_bits();
-    } else if (fast_scalar_) {
-      core::step_synchronous_fast(*a_, front_, back_);
-      succ[j] = back_.to_bits();
     } else {
       core::step_synchronous(*a_, front_, back_);
       succ[j] = back_.to_bits();
@@ -416,14 +213,17 @@ void BatchCodeStepper::step_range(StateCode first, std::size_t count,
 void note_batch_fallback(const BatchCodeStepper& stepper,
                          const core::Automaton& a, const char* context) {
   if (stepper.batched()) return;
-  publish_batch_fallback(a, stepper.fallback_reason(), context);
-}
-
-void batch_code_step(const core::Automaton& a, StateCode first,
-                     std::size_t count, StateCode* succ) {
-  BatchCodeStepper stepper(a);
-  note_batch_fallback(stepper, a, "batch_code_step");
-  stepper.step_range(first, count, succ);
+  // Silent de-optimization must show up in run manifests
+  // (docs/performance.md).
+  static obs::Counter& fallbacks = obs::counter("engine.batch.fallback");
+  fallbacks.add();
+  const char* reason = stepper.fallback_reason();
+  obs::log_event(
+      obs::LogLevel::kWarn, "engine.batch.fallback",
+      {{"context", context},
+       {"reason", reason != nullptr ? reason : "unknown"},
+       {"rule", a.homogeneous() ? rules::describe(a.rule(0)) : "per-node"},
+       {"cells", static_cast<std::uint64_t>(a.size())}});
 }
 
 CodeStepFn synchronous_code_step(const core::Automaton& a) {

@@ -11,14 +11,18 @@
 // Global configurations are encoded as uint64 state codes with bit i =
 // cell i; explicit construction is limited to n <= 26 cells.
 //
-// Two construction surfaces:
-//  * the classic builders (synchronous / synchronous_parallel / sweep)
-//    either finish or throw — unchanged behaviour;
-//  * the budgeted builders (build_synchronous / build_sweep /
-//    build_synchronous_parallel) run under a runtime::RunControl and stop
-//    cleanly on budget exhaustion or cancellation, returning a
-//    FunctionalGraphBuild whose status says why and (for the serial
-//    builders) the successor-table prefix computed so far.
+// One build engine: an automaton's successor table is always built by
+// the sharded builder (phasespace/sharded_build.hpp).
+//  * synchronous / sweep are its facades: flat table, one worker per
+//    2^20 states (workers_for_states), unlimited control — they either
+//    finish or throw;
+//  * budgeted callers call build_synchronous_sharded /
+//    build_sweep_sharded with a runtime::RunControl and get a
+//    FunctionalGraphBuild back, which stops cleanly on budget exhaustion
+//    or cancellation and says why; supervised callers call
+//    supervised_synchronous_sharded.
+// The FunctionalGraph(bits, step) constructor stays for arbitrary maps
+// that are not automata (sds/word.cpp).
 
 #include <cstdint>
 #include <functional>
@@ -29,7 +33,6 @@
 #include "core/automaton.hpp"
 #include "core/batch_kernels.hpp"
 #include "core/configuration.hpp"
-#include "core/thread_pool.hpp"
 #include "phasespace/successor_store.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/supervisor.hpp"
@@ -73,28 +76,14 @@ class FunctionalGraph {
   /// `bits` is validated against max_explicit_bits(store->kind()).
   static FunctionalGraph from_store(std::shared_ptr<SuccessorStore> store);
 
-  /// Phase space of the classical parallel CA (synchronous global map F).
+  /// Phase space of the classical parallel CA (synchronous global map F):
+  /// the sharded builder on a flat table, workers_for_states(2^n) workers.
   static FunctionalGraph synchronous(const core::Automaton& a);
 
-  /// Same table, built across a thread pool (the 2^n state evaluations
-  /// are independent). Bit-for-bit identical to synchronous().
-  static FunctionalGraph synchronous_parallel(const core::Automaton& a,
-                                              core::ThreadPool& pool);
-
-  /// Phase space of the SCA whose step is one full sweep of `order`.
+  /// Phase space of the SCA whose step is one full sweep of `order`, built
+  /// the same way.
   static FunctionalGraph sweep(const core::Automaton& a,
                                std::vector<core::NodeId> order);
-
-  /// Budgeted builders: stop cleanly when `control` trips, never abort.
-  /// Identical tables to their unbudgeted counterparts on completion.
-  static FunctionalGraphBuild build_synchronous(const core::Automaton& a,
-                                                runtime::RunControl& control);
-  static FunctionalGraphBuild build_sweep(const core::Automaton& a,
-                                          std::vector<core::NodeId> order,
-                                          runtime::RunControl& control);
-  static FunctionalGraphBuild build_synchronous_parallel(
-      const core::Automaton& a, core::ThreadPool& pool,
-      runtime::RunControl& control);
 
   [[nodiscard]] std::uint32_t bits() const noexcept { return bits_; }
   [[nodiscard]] StateCode num_states() const noexcept {
@@ -115,7 +104,7 @@ class FunctionalGraph {
   [[nodiscard]] const std::vector<StateCode>& successors() const;
 
  private:
-  FunctionalGraph() = default;  // for the parallel builder
+  FunctionalGraph() = default;  // for from_table / from_store
 
   std::uint32_t bits_ = 0;
   /// Shared, immutable-after-build storage: copying a FunctionalGraph
@@ -127,13 +116,12 @@ class FunctionalGraph {
 };
 
 /// Outcome of a budgeted phase-space build. `graph` is engaged iff the
-/// build ran to completion; a truncated SERIAL build carries the computed
-/// prefix succ[0 .. states_built) in partial_succ (a truncated parallel
-/// build computes states in non-contiguous chunks, so it reports counts
-/// only). Always well-formed — budget exhaustion never throws.
+/// build ran to completion; a truncated build reports counts only —
+/// states_built is the number of states it stepped, and what the store
+/// kept is ShardedBuild::stats.stored_states. Always well-formed —
+/// budget exhaustion never throws.
 struct FunctionalGraphBuild {
   std::optional<FunctionalGraph> graph;
-  std::vector<StateCode> partial_succ;
   StateCode states_built = 0;
   runtime::RunStatus status;
 
@@ -175,9 +163,9 @@ class BatchCodeStepper {
   /// exactly the requested rung. kWideSimd is the dispatched wide tier
   /// (scalar fallback when the automaton is unsupported — reason
   /// recorded), kBatch64 forces the always-available 64-lane bit-slice
-  /// tier, kPacked runs the monomorphized scalar kernel per code, and
-  /// kScalar the generic reference stepper. All rungs are bit-for-bit
-  /// identical; the lower ones trade speed for a smaller working set.
+  /// tier, and kScalar the generic reference stepper. All rungs are
+  /// bit-for-bit identical; the lower ones trade speed for a smaller
+  /// working set.
   BatchCodeStepper(const core::Automaton& a, runtime::EngineRung rung);
 
   /// succ[j] := F(first + j) for j in [0, count). `count` need not be a
@@ -202,13 +190,16 @@ class BatchCodeStepper {
   [[nodiscard]] runtime::EngineRung rung() const noexcept { return rung_; }
 
  private:
+  /// Builds the wide stepper at `isa` (the dispatched tier when empty),
+  /// or records why the batch engine declines the automaton.
+  void init_batch(std::optional<core::BatchIsa> isa);
+
   const core::Automaton* a_;
   std::vector<core::NodeId> order_;
   bool sweep_mode_;
   std::unique_ptr<core::WideStepper> stepper_;
   const char* reason_ = nullptr;
   runtime::EngineRung rung_ = runtime::EngineRung::kWideSimd;
-  bool fast_scalar_ = false;   // kPacked: monomorphized scalar kernel
   core::Configuration front_;  // scalar fallback buffers
   core::Configuration back_;
 };
@@ -220,11 +211,5 @@ class BatchCodeStepper {
 /// when the stepper is batched.
 void note_batch_fallback(const BatchCodeStepper& stepper,
                          const core::Automaton& a, const char* context);
-
-/// One-shot convenience over BatchCodeStepper (synchronous mode):
-/// succ[j] := F(first + j) for j in [0, count), batch engine when
-/// supported (a fallback is counted and logged otherwise).
-void batch_code_step(const core::Automaton& a, StateCode first,
-                     std::size_t count, StateCode* succ);
 
 }  // namespace tca::phasespace

@@ -1,11 +1,11 @@
 #include "phasespace/sharded_build.hpp"
 
-// tca-lint: relaxed-ok(claim cursors, steal tallies and the abandon flag
-// are control-flow only — a stale read costs at most one wasted claim
-// probe or one extra shard before stopping. Every byte of phase-space
-// data is published to the caller by the thread-join barrier, and errors
-// travel under error_mu; no reader relies on these atomics for ordering.
-// The full argument lives in docs/memory_model.md.)
+// tca-lint: relaxed-ok(claim cursors and the abandon flag are control-flow
+// only — a stale read costs at most one wasted claim probe or one extra
+// shard before stopping. Every byte of phase-space data and every
+// per-worker tally is published to the caller by the thread-join barrier,
+// and errors travel under error_mu; no reader relies on these atomics for
+// ordering. The full argument lives in docs/memory_model.md.)
 
 #include <pthread.h>
 #include <sched.h>
@@ -92,7 +92,7 @@ void publish_shard_tallies(const ShardStats& stats,
 }
 
 /// RAM the backend will pin (charged to the byte budget BEFORE any
-/// allocation, like build_synchronous_parallel charges its whole table).
+/// allocation).
 std::uint64_t estimated_store_bytes(StoreKind kind, std::uint32_t bits,
                                     StateCode count) {
   switch (kind) {
@@ -102,7 +102,7 @@ std::uint64_t estimated_store_bytes(StoreKind kind, std::uint32_t bits,
       return (((static_cast<std::uint64_t>(count) * bits + 63) >> 6) + 1) *
              sizeof(std::uint64_t);
     case StoreKind::kDisk:
-      return 0;  // spills; staging is charged separately per worker
+      return 0;  // spills; its staging buffers are charged separately
   }
   return count * sizeof(StateCode);
 }
@@ -156,7 +156,9 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   }
   plan.shards_total = (count + plan.shard_states - 1) / plan.shard_states;
 
-  const NumaTopology topo = probe_numa_topology();
+  // The topology cannot change under a running process; probing sysfs
+  // on every build would cost more than a small build itself.
+  static const NumaTopology topo = probe_numa_topology();
   const auto num_groups = static_cast<std::uint32_t>(topo.groups.size());
   unsigned workers = options.workers != 0 ? options.workers
                                           : std::max(1u, topo.total_cpus());
@@ -190,9 +192,16 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   }
 
   // --- budget: charge the store + staging footprint up front ------------
+  // Flat shards are stepped straight into the table; the other backends
+  // stage one shard per worker and put_range it.
+  const bool flat = options.store == StoreKind::kFlat;
+  const std::size_t staging_states =
+      flat ? 0
+           : static_cast<std::size_t>(
+                 std::min<StateCode>(plan.shard_states, count));
   const std::uint64_t staging_bytes =
-      static_cast<std::uint64_t>(workers) *
-      std::min<StateCode>(plan.shard_states, count) * sizeof(StateCode);
+      static_cast<std::uint64_t>(workers) * staging_states *
+      sizeof(StateCode);
   const std::uint64_t charge =
       estimated_store_bytes(options.store, bits, count) + staging_bytes;
   if (control.note_bytes(charge) != runtime::StopReason::kNone) {
@@ -240,42 +249,47 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
     cursors[g].store(region_begin[g], std::memory_order_relaxed);
   }
   std::atomic<bool> abandon{false};
-  std::atomic<std::uint64_t> total_claimed{0};
-  std::atomic<std::uint64_t> total_stolen{0};
   std::mutex error_mu;
   std::exception_ptr first_error;
+  // Per-worker tallies: each slot is written only by its worker and read
+  // after the join barrier.
+  struct WorkerTally {
+    std::uint64_t claimed = 0;
+    std::uint64_t stolen = 0;
+    std::uint64_t stepped = 0;  ///< states stepped by this call
+  };
+  std::vector<WorkerTally> tallies(workers);
 
   runtime::RunControl* ctl = &control;
   SuccessorStore* store_raw = store.get();
+  StateCode* const flat_table =
+      flat ? static_cast<FlatStore*>(store_raw)->data() : nullptr;
   const ShardPlan* plan_ptr = &plan;
   std::uint8_t* done = shard_done.data();
 
-  const auto worker_body = [&, ctl, store_raw, plan_ptr,
+  const auto worker_body = [&, ctl, store_raw, flat_table, plan_ptr,
                             done](unsigned worker_id) TCA_HOT_PATH {
     const std::uint32_t home = worker_id % num_groups;
     if (options.pin_threads && worker_id != 0) {
       // Worker 0 is the calling thread; leave its affinity alone.
       pin_to_cpus(topo.groups[home].cpus);
     }
+    WorkerTally tally;
     try {
       // Thread-local engine + staging: plans, slices and fallback
-      // buffers are per-thread state (same policy as the pool builder).
+      // buffers are per-thread state.
       BatchCodeStepper stepper =
           sweep_mode ? BatchCodeStepper(a, order)
                      : BatchCodeStepper(a, options.rung);
       if (worker_id == 0 &&
-          (sweep_mode || options.rung == runtime::EngineRung::kWideSimd ||
-           options.rung == runtime::EngineRung::kBatch64)) {
+          (sweep_mode || options.rung != runtime::EngineRung::kScalar)) {
         // The batch decision is surfaced once per build, not per worker
         // (all workers make the same decision from the same automaton).
-        // Forced-scalar rungs are deliberate, not a fallback — same policy
-        // as build_synchronous_at_rung.
+        // The forced-scalar rung is deliberate, not a fallback — same
+        // policy as count_gardens_of_eden_explicit.
         note_batch_fallback(stepper, a, context);
       }
-      std::vector<StateCode> staging(static_cast<std::size_t>(
-          std::min<StateCode>(plan_ptr->shard_states, plan_ptr->count)));
-      std::uint64_t claimed = 0;
-      std::uint64_t stolen = 0;
+      std::vector<StateCode> staging(staging_states);
       while (!abandon.load(std::memory_order_relaxed)) {
         // Claim: home group first, then sweep the others (steal).
         std::uint64_t shard = ~std::uint64_t{0};
@@ -295,8 +309,11 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
         }
         if (shard == ~std::uint64_t{0}) break;  // everything drained
         if (done[shard] != 0) continue;         // resumed from disk
+        runtime::fault::check_chunk();
         const StateCode first = plan_ptr->shard_first(shard);
         const std::size_t n_states = plan_ptr->shard_count(shard);
+        StateCode* const dst =
+            flat_table != nullptr ? flat_table + first : staging.data();
         // Stream the shard in 1024-blocks so budgets/cancellation trip
         // mid-shard, not per-shard; a tripped shard is NOT stored (the
         // store keeps whole shards only — that is what makes disk
@@ -310,17 +327,15 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
             abandon.store(true, std::memory_order_relaxed);
             break;
           }
-          stepper.step_range(first + done_states, block,
-                             staging.data() + done_states);
+          stepper.step_range(first + done_states, block, dst + done_states);
           done_states += block;
+          tally.stepped += block;
         }
         if (!whole) break;
-        store_raw->put_range(first, n_states, staging.data());
+        if (flat_table == nullptr) store_raw->put_range(first, n_states, dst);
         done[shard] = kStored;
-        ++(is_steal ? stolen : claimed);
+        ++(is_steal ? tally.stolen : tally.claimed);
       }
-      total_claimed.fetch_add(claimed, std::memory_order_relaxed);
-      total_stolen.fetch_add(stolen, std::memory_order_relaxed);
     } catch (...) {
       {
         const std::lock_guard<std::mutex> lock(error_mu);
@@ -328,6 +343,7 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
       }
       abandon.store(true, std::memory_order_relaxed);
     }
+    tallies[worker_id] = tally;
   };
 
   // Spawn workers 1..N-1; the calling thread is worker 0. Spawn failure
@@ -358,16 +374,17 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   worker_body(0);
   for (std::thread& t : threads) t.join();
 
+  std::uint64_t stepped = 0;
+  for (const WorkerTally& t : tallies) {
+    out.stats.shards_claimed += t.claimed;
+    out.stats.shards_stolen += t.stolen;
+    stepped += t.stepped;
+  }
   if (first_error != nullptr) {
     // Publish what happened before surfacing the failure.
-    out.stats.shards_claimed = total_claimed.load(std::memory_order_relaxed);
-    out.stats.shards_stolen = total_stolen.load(std::memory_order_relaxed);
-    publish_shard_tallies(out.stats, control.status().states);
+    publish_shard_tallies(out.stats, stepped);
     std::rethrow_exception(first_error);
   }
-
-  out.stats.shards_claimed = total_claimed.load(std::memory_order_relaxed);
-  out.stats.shards_stolen = total_stolen.load(std::memory_order_relaxed);
   out.build.status = control.status();
 
   for (std::uint64_t shard = 0; shard < plan.shards_total; ++shard) {
@@ -379,10 +396,11 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
       !out.build.status.truncated() && out.stats.stored_states == count;
 
   if (!complete) {
-    // Shards complete out of order: counts only, like the pool builder.
-    // Disk builds still persist their manifest so resume picks up the
-    // finished shards.
-    out.build.states_built = out.build.status.states;
+    // Counts only: the states this call stepped (every one of them was
+    // admitted by the budget, so a max_states cap bounds them) and the
+    // whole shards stored. Disk builds still persist their manifest so
+    // resume picks up the finished shards.
+    out.build.states_built = stepped;
     if (options.store == StoreKind::kDisk) {
       store->finalize();
       out.store = std::move(store);  // partial, for resume/inspection

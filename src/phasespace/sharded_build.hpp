@@ -1,16 +1,17 @@
 #pragma once
 // Sharded, NUMA-aware phase-space construction
-// (docs/performance.md "successor storage hierarchy").
-//
-// build_synchronous_parallel (functional_graph.cpp) hands contiguous
-// chunks to the fork-join ThreadPool and writes a flat 8-byte-per-state
-// table. This builder replaces both halves for large n:
+// (docs/performance.md "successor storage hierarchy"). This is the one
+// engine every successor table of an automaton is built with:
+// FunctionalGraph::synchronous / sweep are facades over it (kFlat,
+// workers_for_states(2^n), unlimited control), budgeted callers call
+// build_*_sharded directly and supervised callers
+// supervised_synchronous_sharded.
 //
 //  * the 2^n code range is cut into fixed shards (multiples of
-//    successor_store.hpp's kPutAlign, so shards never share a packed
-//    word or a disk byte) and the shards are partitioned into one
+//    successor_store.hpp's kPutAlign on the disk backend, so extents
+//    never share a byte) and the shards are partitioned into one
 //    contiguous region per WORKER GROUP — one group per NUMA node when
-//    /sys/devices/system/node exposes several (probed at startup,
+//    /sys/devices/system/node exposes several (probed once per process,
 //    graceful single-group fallback otherwise). Workers claim shards
 //    from their own group's cursor and, once it drains, STEAL from the
 //    other groups — so the common case is node-local memory traffic and
@@ -19,25 +20,28 @@
 //
 //  * each worker streams its shard through a thread-local
 //    BatchCodeStepper (the dispatched SIMD tier; plans, slices and
-//    fallback buffers are per-thread state) into a thread-local staging
-//    buffer, then put_range()s the finished shard into the shared
-//    SuccessorStore — flat, packed (n-bit succinct), or disk (spilled
-//    extents with FNV digests), chosen per build.
+//    fallback buffers are per-thread state). On the flat backend it
+//    steps straight into the table; on the packed (n-bit succinct) and
+//    disk (spilled extents with FNV digests) backends it fills a
+//    thread-local staging buffer and put_range()s the finished shard.
 //
 // The result is deterministic: shard -> range is a fixed function of
 // (bits, shard_states), every shard is computed by exactly one worker
-// with the same engine, and put_range targets disjoint ranges — so the
+// with the same engine, and shards write disjoint ranges — so the
 // table is bit-identical for ANY worker count, group layout, or steal
 // interleaving (pinned by sharded_build_test and the
 // store-backend-agree oracle).
 //
-// Budget/truncation contract (matches build_synchronous_parallel): the
-// store's resident/spill footprint is charged up front, states are
-// charged per 1024-block; a tripped control stops claiming and the
-// build reports counts only (shards complete out of order, so no
-// contiguous prefix exists). On the DISK backend a truncated build
-// still finalizes its manifest, so a follow-up build with resume=true
-// skips every digest-valid shard already on disk.
+// Budget/truncation contract: the store's resident footprint (plus the
+// staging buffers, when there are any) is charged up front, states are
+// charged per 1024-block; a tripped control stops claiming. Truncation
+// has one meaning: the whole shards the store holds
+// (ShardStats::stored_states); a shard abandoned mid-stream is not
+// stored. Shards complete out of order, so with several workers the
+// stored shards need not be a prefix; with one worker they are. On the
+// DISK backend a truncated build still finalizes its manifest, so a
+// follow-up build with resume=true skips every digest-valid shard
+// already on disk.
 
 #include <cstdint>
 #include <memory>
@@ -83,9 +87,10 @@ struct ShardedBuildOptions {
   /// Worker threads (0 = one per probed CPU). Clamped to >= 1; the
   /// calling thread is worker 0.
   unsigned workers = 0;
-  /// States per shard. Rounded UP to a multiple of kPutAlign (512) so
-  /// shards never share a packed word or disk byte; the final shard is
-  /// the ragged remainder. Small values are for tests.
+  /// States per shard; the final shard is the ragged remainder. On the
+  /// disk backend rounded UP to a multiple of kPutAlign (512) so extents
+  /// own whole bytes; packed shards that straddle a word merge it by
+  /// CAS. Small values are for tests.
   StateCode shard_states = StateCode{1} << 16;
   /// Directory for StoreKind::kDisk (required then, ignored otherwise).
   std::string disk_dir;
@@ -115,10 +120,12 @@ struct ShardStats {
   std::uint32_t workers = 0;
 };
 
-/// Outcome of a sharded build: the usual FunctionalGraphBuild contract
-/// (graph engaged iff complete; truncation reports counts only) plus the
-/// store itself (engaged iff complete — the streaming-census surface)
-/// and the shard tallies.
+/// Outcome of a sharded build: the FunctionalGraphBuild contract (graph
+/// engaged iff complete; a truncated build reports counts, and
+/// stats.stored_states says what the store holds) plus the store itself
+/// (engaged iff complete — the streaming-census surface — or, for
+/// resume and inspection, on a truncated kDisk build) and the shard
+/// tallies.
 struct ShardedBuild {
   FunctionalGraphBuild build;
   std::shared_ptr<SuccessorStore> store;
@@ -140,10 +147,11 @@ struct ShardedBuild {
     const ShardedBuildOptions& options, runtime::RunControl& control);
 
 /// Supervised wrapper (docs/robustness.md): runs the sharded synchronous
-/// build under a runtime::Supervisor, walking the engine-degradation
-/// ladder on pressure exactly like supervised_synchronous does for the
-/// serial builder. kDisk builds set resume=true on retry attempts so a
-/// failed attempt's completed shards are not recomputed.
+/// build under a runtime::Supervisor, one attempt per build, each at the
+/// attempt's engine-degradation-ladder rung, so memory pressure or an
+/// injected fault retries one rung down instead of failing. kDisk builds
+/// set resume=true on retry attempts so a failed attempt's completed
+/// shards are not recomputed.
 struct SupervisedShardedBuild {
   ShardedBuild build;
   runtime::SupervisorReport report;

@@ -161,6 +161,9 @@ class FlatStore final : public SuccessorStore {
       const noexcept override {
     return &table_;
   }
+  /// The writable table, for builders that step shards straight into it
+  /// (disjoint ranges, like put_range) instead of staging and copying.
+  [[nodiscard]] StateCode* data() noexcept { return table_.data(); }
 
  private:
   std::vector<StateCode> table_;

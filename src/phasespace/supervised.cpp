@@ -1,73 +1,6 @@
 #include "phasespace/supervised.hpp"
 
-#include <algorithm>
-#include <utility>
-
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "runtime/error.hpp"
-#include "runtime/fault.hpp"
-
 namespace tca::phasespace {
-
-FunctionalGraphBuild build_synchronous_at_rung(const core::Automaton& a,
-                                               runtime::EngineRung rung,
-                                               runtime::RunControl& control) {
-  TCA_SPAN("phase_space_build");
-  static obs::Counter& builds = obs::counter("phasespace.build.runs");
-  static obs::Counter& states = obs::counter("phasespace.build.states");
-  const auto bits = static_cast<std::uint32_t>(a.size());
-  tca::require_explicit_bits(bits, kMaxExplicitBits,
-                             "build_synchronous_at_rung");
-  const StateCode count = StateCode{1} << bits;
-  FunctionalGraphBuild out;
-  runtime::fault::check_alloc(count * sizeof(StateCode));
-  out.partial_succ.reserve(count);
-
-  BatchCodeStepper stepper(a, rung);
-  if (rung == runtime::EngineRung::kWideSimd ||
-      rung == runtime::EngineRung::kBatch64) {
-    note_batch_fallback(stepper, a, "build_synchronous_at_rung");
-  }
-  // Blocked stream: budget polled per 1024-state block, so truncation cuts
-  // on block boundaries — still an exact prefix of the full table.
-  for (StateCode s = 0; s < count;) {
-    const auto block =
-        static_cast<std::size_t>(std::min<StateCode>(1024, count - s));
-    if (control.note_states(block) != runtime::StopReason::kNone ||
-        control.note_bytes(block * sizeof(StateCode)) !=
-            runtime::StopReason::kNone) {
-      out.states_built = s;
-      out.status = control.status();
-      builds.add();
-      states.add(out.states_built);
-      return out;
-    }
-    out.partial_succ.resize(s + block);
-    stepper.step_range(s, block, out.partial_succ.data() + s);
-    s += block;
-  }
-  out.states_built = count;
-  out.status = control.status();
-  out.graph = FunctionalGraph::from_table(bits, std::move(out.partial_succ));
-  out.partial_succ.clear();
-  builds.add();
-  states.add(out.states_built);
-  return out;
-}
-
-SupervisedBuild supervised_synchronous(
-    const core::Automaton& a, const runtime::SupervisorOptions& options) {
-  SupervisedBuild out;
-  runtime::Supervisor supervisor(options);
-  out.report = supervisor.run(
-      "phasespace.synchronous", [&](runtime::AttemptContext& ctx) {
-        out.build = build_synchronous_at_rung(a, ctx.rung, ctx.control);
-        return out.build.complete() ? runtime::AttemptOutcome::kCompleted
-                                    : runtime::AttemptOutcome::kTruncated;
-      });
-  return out;
-}
 
 SupervisedGoeCensus supervised_goe_census(
     const core::Automaton& a, const runtime::SupervisorOptions& options) {

@@ -1,14 +1,13 @@
 #pragma once
-// Supervised phase-space construction (docs/robustness.md).
+// Supervised explicit Garden-of-Eden census (docs/robustness.md).
 //
-// These are the engine-stack entry points of the degradation ladder:
-// build_synchronous_at_rung evaluates the synchronous phase space at an
-// exact EngineRung, and the supervised_* wrappers run a build / GoE
-// census under a runtime::Supervisor so that memory pressure or injected
-// faults retry one rung down (wide-SIMD -> batch64 -> packed -> scalar)
-// instead of failing the workload. Every rung is bit-for-bit identical
-// (degradation_ladder_test pins this on the PBT generators), so a
-// degraded result IS the result.
+// supervised_goe_census runs count_gardens_of_eden_explicit under a
+// runtime::Supervisor so that memory pressure or injected faults retry
+// one rung down the engine-degradation ladder (wide-SIMD -> batch64 ->
+// scalar) instead of failing the workload. Every rung is bit-for-bit
+// identical (degradation_ladder_test pins this on the PBT generators),
+// so a degraded result IS the result. Supervised phase-space builds are
+// supervised_synchronous_sharded (phasespace/sharded_build.hpp).
 
 #include "phasespace/functional_graph.hpp"
 #include "phasespace/preimage.hpp"
@@ -16,37 +15,16 @@
 
 namespace tca::phasespace {
 
-/// Serial budgeted synchronous build at exactly `rung`. Same contract as
-/// FunctionalGraph::build_synchronous (well-formed truncation, prefix in
-/// partial_succ), but the successor stream runs on the requested ladder
-/// rung instead of the dispatched default.
-[[nodiscard]] FunctionalGraphBuild build_synchronous_at_rung(
-    const core::Automaton& a, runtime::EngineRung rung,
-    runtime::RunControl& control);
-
-/// A supervised phase-space build: the build result of the final attempt
-/// plus the full supervision report (attempts, rung walked to, failures).
-struct SupervisedBuild {
-  FunctionalGraphBuild build;
-  runtime::SupervisorReport report;
-};
-
-/// Runs build_synchronous_at_rung under a Supervisor starting at
-/// options.start_rung. Transient failures (injected faults, bad_alloc)
-/// retry per options.retry, walking the ladder down on pressure; the
-/// returned build is from the last attempt (empty when report.state ==
-/// kFailed).
-[[nodiscard]] SupervisedBuild supervised_synchronous(
-    const core::Automaton& a, const runtime::SupervisorOptions& options);
-
 /// A supervised explicit Garden-of-Eden census (any topology, n <= 26).
 struct SupervisedGoeCensus {
   GoeCensus census;
   runtime::SupervisorReport report;
 };
 
-/// Runs count_gardens_of_eden_explicit under a Supervisor, same ladder
-/// semantics as supervised_synchronous.
+/// Runs count_gardens_of_eden_explicit under a Supervisor starting at
+/// options.start_rung. Transient failures (injected faults, bad_alloc)
+/// retry per options.retry, walking the ladder down on pressure; the
+/// returned census is from the last attempt.
 [[nodiscard]] SupervisedGoeCensus supervised_goe_census(
     const core::Automaton& a, const runtime::SupervisorOptions& options);
 

@@ -28,7 +28,8 @@ struct FaultPlan {
   std::uint64_t alloc_min_bytes = 0;     ///< alloc_failure_at only counts
                                          ///< allocations >= this many
                                          ///< advisory bytes (0 == all)
-  std::uint64_t chunk_exception_at = 0;  ///< k-th ThreadPool chunk throws
+  std::uint64_t chunk_exception_at = 0;  ///< k-th ThreadPool chunk or
+                                         ///< sharded-build shard throws
                                          ///< InjectedFaultError
   std::uint64_t cancel_at_visit = 0;     ///< k-th RunControl::note_states
                                          ///< cancels that run's token
@@ -68,8 +69,8 @@ namespace fault {
 /// allocations through.
 void check_alloc(std::uint64_t bytes = 0);
 
-/// ThreadPool chunk guard: throws tca::InjectedFaultError when the
-/// installed plan's chunk counter fires.
+/// ThreadPool chunk and sharded-build shard guard: throws
+/// tca::InjectedFaultError when the installed plan's chunk counter fires.
 void check_chunk();
 
 /// RunControl visit hook: returns true exactly once, when the installed

@@ -19,12 +19,10 @@ obs::Counter& degrade_counter(EngineRung rung) {
   // so these statics alias the global counters.
   static obs::Counter& wide = obs::counter("engine.degrade.wide-simd");
   static obs::Counter& batch = obs::counter("engine.degrade.batch64");
-  static obs::Counter& packed = obs::counter("engine.degrade.packed");
   static obs::Counter& scalar = obs::counter("engine.degrade.scalar");
   switch (rung) {
     case EngineRung::kWideSimd: return wide;
     case EngineRung::kBatch64: return batch;
-    case EngineRung::kPacked: return packed;
     case EngineRung::kScalar: return scalar;
   }
   return scalar;
@@ -43,7 +41,6 @@ const char* rung_name(EngineRung rung) noexcept {
   switch (rung) {
     case EngineRung::kWideSimd: return "wide-simd";
     case EngineRung::kBatch64: return "batch64";
-    case EngineRung::kPacked: return "packed";
     case EngineRung::kScalar: return "scalar";
   }
   return "scalar";
@@ -52,8 +49,7 @@ const char* rung_name(EngineRung rung) noexcept {
 EngineRung rung_below(EngineRung rung) noexcept {
   switch (rung) {
     case EngineRung::kWideSimd: return EngineRung::kBatch64;
-    case EngineRung::kBatch64: return EngineRung::kPacked;
-    case EngineRung::kPacked: return EngineRung::kScalar;
+    case EngineRung::kBatch64: return EngineRung::kScalar;
     case EngineRung::kScalar: return EngineRung::kScalar;
   }
   return EngineRung::kScalar;

@@ -6,7 +6,7 @@
 // seeded-jitter backoff (retry.hpp) and a graceful-degradation ladder over
 // the engine stack:
 //
-//   wide-SIMD  ->  64-lane batch  ->  packed  ->  scalar serial
+//   wide-SIMD  ->  64-lane batch  ->  scalar
 //
 // Each attempt gets a fresh RunControl whose wall limit is carved from the
 // time remaining under the overall deadline, so a retrying job can never
@@ -40,13 +40,12 @@ namespace tca::runtime {
 enum class EngineRung : std::uint8_t {
   kWideSimd = 0,  ///< runtime-dispatched widest SIMD batch tier
   kBatch64,       ///< 64-lane scalar bit-slice batch engine
-  kPacked,        ///< per-configuration packed-word kernel
   kScalar,        ///< reference scalar stepper (always available)
 };
 
-inline constexpr std::uint32_t kEngineRungCount = 4;
+inline constexpr std::uint32_t kEngineRungCount = 3;
 
-/// Stable lowercase name ("wide-simd", "batch64", "packed", "scalar").
+/// Stable lowercase name ("wide-simd", "batch64", "scalar").
 [[nodiscard]] const char* rung_name(EngineRung rung) noexcept;
 
 /// The next rung down; kScalar is the floor and maps to itself.

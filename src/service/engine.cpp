@@ -76,7 +76,7 @@ QueryResult result_from_graph(const ServiceQuery& query,
   return r;
 }
 
-/// Directory a resumable large-n build spills its extents to.
+/// Directory a kDisk build spills its extents to.
 fs::path store_dir(const EngineOptions& options, const ServiceQuery& query) {
   return fs::path(options.ckpt_dir) / "store" / query.digest();
 }
@@ -279,21 +279,22 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
                     {"fallback", "flat"}});
     store_kind = phasespace::StoreKind::kFlat;
   }
-  const bool small = query.n <= options_.small_n_bits;
-  std::optional<phasespace::FunctionalGraph> fg =
-      small ? build_small(query, budget, std::move(token), store_kind, out)
-            : build_supervised(query, budget, std::move(token), store_kind,
-                               out);
-  if (!fg) return out;
+  // Recomputing a small build is cheaper than checkpointing it.
+  const bool resumable =
+      !options_.ckpt_dir.empty() && query.n > options_.small_n_bits;
+  std::optional<phasespace::FunctionalGraph> fg = build_supervised(
+      query, budget, std::move(token), store_kind, resumable, out);
+  if (fg) {
+    out.states_done = out.states_total;
+    out.result = result_from_graph(query, *fg);
+    out.status = QueryOutcome::Status::kOk;
+  }
 
-  out.states_done = out.states_total;
-  out.result = result_from_graph(query, *fg);
-  out.status = QueryOutcome::Status::kOk;
-
-  // The spilled table is scratch space for result derivation, not a
-  // cache (the RESULT cache lives in front of the engine); reclaim it.
-  if (!options_.ckpt_dir.empty() &&
-      (!small || store_kind == phasespace::StoreKind::kDisk)) {
+  // A spilled table is scratch space for result derivation, not a cache
+  // (the RESULT cache lives in front of the engine): reclaim it once the
+  // result exists, and at once when no later request resumes from it.
+  if ((resumable && fg) ||
+      (!resumable && store_kind == phasespace::StoreKind::kDisk)) {
     fg.reset();  // unmap before unlinking
     std::error_code ec;
     fs::remove_all(store_dir(options_, query), ec);
@@ -301,74 +302,10 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
   return out;
 }
 
-std::optional<phasespace::FunctionalGraph> QueryEngine::build_small(
-    const ServiceQuery& query, const RequestBudget& budget,
-    runtime::CancelToken token, phasespace::StoreKind store_kind,
-    QueryOutcome& out) const {
-  static obs::Counter& small_n = obs::counter("service.engine.small_n");
-  static obs::Counter& truncated = obs::counter("service.engine.truncated");
-  static obs::Counter& failed = obs::counter("service.engine.failed");
-
-  const core::Automaton a = query.automaton();
-  const std::uint64_t total = out.states_total;
-  std::vector<phasespace::StateCode> succ;
-  try {
-    succ.resize(total);
-  } catch (const std::bad_alloc&) {
-    out.status = QueryOutcome::Status::kFailed;
-    out.error_code = ErrorCode::kDomainTooLarge;
-    out.error = "successor table allocation failed";
-    failed.add();
-    return std::nullopt;
-  }
-
-  small_n.add();
-  runtime::RunControl control(budget.to_run_budget(), std::move(token));
-  phasespace::BatchCodeStepper stepper =
-      query.scheme == Scheme::kSweep
-          ? phasespace::BatchCodeStepper(a, query.effective_order())
-          : phasespace::BatchCodeStepper(a, runtime::EngineRung::kWideSimd);
-  phasespace::note_batch_fallback(stepper, a, "service.build");
-  // The budget is checked between blocks of this many states.
-  constexpr std::uint64_t kBlock = 1u << 14;
-  std::uint64_t built = 0;
-  runtime::StopReason reason = control.note_bytes(total * 8);
-  while (reason == runtime::StopReason::kNone && built < total) {
-    const std::uint64_t chunk = std::min(kBlock, total - built);
-    stepper.step_range(built, static_cast<std::size_t>(chunk),
-                       succ.data() + built);
-    built += chunk;
-    reason = control.note_states(chunk);
-  }
-  if (built < total) {
-    out.status = QueryOutcome::Status::kTruncated;
-    out.stop_reason = reason;
-    out.states_done = built;
-    truncated.add();
-    return std::nullopt;
-  }
-
-  // kFlat adopts the table as-is; kPacked re-encodes to n bits per
-  // successor and kDisk spills under ckpt_dir/store/, both dropping the
-  // 8-byte table before results are derived.
-  if (store_kind == phasespace::StoreKind::kFlat) {
-    return phasespace::FunctionalGraph::from_table(query.n, std::move(succ));
-  }
-  const std::string disk_dir = store_kind == phasespace::StoreKind::kDisk
-                                   ? store_dir(options_, query).string()
-                                   : std::string();
-  std::shared_ptr<phasespace::SuccessorStore> backend =
-      phasespace::make_store(store_kind, query.n, disk_dir);
-  backend->put_range(0, static_cast<std::size_t>(total), succ.data());
-  backend->finalize();
-  succ = {};
-  return phasespace::FunctionalGraph::from_store(std::move(backend));
-}
-
 std::optional<phasespace::FunctionalGraph> QueryEngine::build_supervised(
     const ServiceQuery& query, const RequestBudget& budget,
     runtime::CancelToken token, phasespace::StoreKind store_kind,
-    QueryOutcome& out) const {
+    bool resumable, QueryOutcome& out) const {
   static obs::Counter& supervised = obs::counter("service.engine.supervised");
   static obs::Counter& truncated = obs::counter("service.engine.truncated");
   static obs::Counter& failed = obs::counter("service.engine.failed");
@@ -377,19 +314,18 @@ std::optional<phasespace::FunctionalGraph> QueryEngine::build_supervised(
 
   supervised.add();
   const core::Automaton a = query.automaton();
-  const bool resumable = !options_.ckpt_dir.empty();
 
-  // With a ckpt dir every build spills kDisk extents, so a truncated or
-  // killed build resumes from its digest-valid shards; without one it
-  // writes straight into the configured backend.
+  // A resumable build spills kDisk extents, so a truncated or killed
+  // build resumes from its digest-valid shards; any other build writes
+  // straight into the configured backend.
   phasespace::ShardedBuildOptions build_options;
   build_options.workers = phasespace::workers_for_states(out.states_total);
   build_options.store = resumable ? phasespace::StoreKind::kDisk : store_kind;
-  if (resumable) {
+  if (build_options.store == phasespace::StoreKind::kDisk) {
     const fs::path dir = store_dir(options_, query);
-    claim_store_dir(dir, query.canonical_key());
+    if (resumable) claim_store_dir(dir, query.canonical_key());
     build_options.disk_dir = dir.string();
-    build_options.resume = true;
+    build_options.resume = resumable;
   }
 
   runtime::SupervisorOptions opts = options_.supervisor;

@@ -1,36 +1,33 @@
 #pragma once
 // The tcad compute core (docs/service.md).
 //
-// Executes one validated ServiceQuery and returns a typed outcome. Three
+// Executes one validated ServiceQuery and returns a typed outcome. Two
 // execution paths, picked per query:
 //
 //  * TRANSFER MATRIX — synchronous-ring preimage counts go through
 //    phasespace::RingPreimageSolver: O(n) matrix products, no state
 //    enumeration, answered inline (no admission slot needed).
-//  * SMALL-N DIRECT — explicit builds with n <= small_n_bits run the
-//    bit-sliced/SIMD batch engine in one unsupervised shot: the build is
-//    cheap enough that retry/checkpoint machinery would cost more than
-//    recomputing.
-//  * LARGE-N SUPERVISED — everything else runs under runtime::Supervisor
+//  * SUPERVISED — every explicit build runs under runtime::Supervisor
 //    (retry + engine-degradation ladder) with a per-request RunBudget and
 //    CancelToken, one sharded build per attempt
 //    (phasespace::build_synchronous_sharded / build_sweep_sharded, one
-//    worker per 2^20 states). With a ckpt_dir the build spills kDisk
-//    extents under ckpt_dir/store/<digest>, each state once, and a
-//    budget-truncated or killed build RESUMES on the next identical
+//    worker per 2^20 states). With a ckpt_dir, builds above small_n_bits
+//    spill kDisk extents under ckpt_dir/store/<digest>, each state once,
+//    and a budget-truncated or killed build RESUMES on the next identical
 //    request by skipping every digest-valid shard. The canonical key is
 //    recorded beside the extents, so a digest collision wipes them
-//    instead of seeding the wrong build. Without a ckpt_dir the build
-//    writes straight into the configured store. (The synchronous GoE
-//    census goes through phasespace::supervised_goe_census; its
-//    reached-states bitmap is not checkpointed — a retry restarts the
+//    instead of seeding the wrong build. Smaller builds, and every build
+//    without a ckpt_dir, write straight into the configured store:
+//    recomputing them is cheaper than checkpointing them. (The
+//    synchronous GoE census goes through phasespace::supervised_goe_census;
+//    its reached-states bitmap is not checkpointed — a retry restarts the
 //    scan. Graph-building queries are the resumable ones.)
 //
 // Admission control: at most max_concurrent_builds explicit builds run
 // at once; excess requests queue on a condition variable (FIFO-ish) and
 // their wait is recorded in the service.admission.wait_us histogram.
 //
-// Counters: service.engine.{builds,small_n,supervised,truncated,failed},
+// Counters: service.engine.{builds,supervised,truncated,failed},
 // service.resume.{saved,resumed}.
 
 #include <cstdint>
@@ -49,7 +46,8 @@ namespace tca::service {
 struct EngineOptions {
   /// Directory for resumable large-n builds; empty disables resume.
   std::string ckpt_dir;
-  /// Builds with n <= this many bits take the unsupervised direct path.
+  /// Builds with n <= this many bits never spill resumable extents, even
+  /// with a ckpt_dir: recomputing them is cheaper than checkpointing.
   std::uint32_t small_n_bits = 16;
   /// Explicit builds admitted concurrently; further requests queue.
   std::uint32_t max_concurrent_builds = 2;
@@ -108,8 +106,8 @@ class QueryEngine {
                                      const RequestBudget& budget,
                                      runtime::CancelToken token);
 
-  /// Total explicit-graph builds started (small-n + supervised attempts
-  /// are counted once per execute, not per retry). Test hook for the
+  /// Total explicit-graph builds started (supervised attempts are
+  /// counted once per execute, not per retry). Test hook for the
   /// coalescing assertion "N identical concurrent requests -> 1 build".
   [[nodiscard]] std::uint64_t builds_started() const;
 
@@ -123,16 +121,13 @@ class QueryEngine {
   QueryOutcome run_goe_supervised(const ServiceQuery& query,
                                   const RequestBudget& budget,
                                   runtime::CancelToken token);
-  /// run_explicit's two build paths: the completed graph, or nullopt with
-  /// `out` describing the truncation or failure.
-  std::optional<phasespace::FunctionalGraph> build_small(
-      const ServiceQuery& query, const RequestBudget& budget,
-      runtime::CancelToken token, phasespace::StoreKind store_kind,
-      QueryOutcome& out) const;
+  /// run_explicit's build: the completed graph, or nullopt with `out`
+  /// describing the truncation or failure. A `resumable` build spills
+  /// kDisk extents under ckpt_dir and resumes from them.
   std::optional<phasespace::FunctionalGraph> build_supervised(
       const ServiceQuery& query, const RequestBudget& budget,
       runtime::CancelToken token, phasespace::StoreKind store_kind,
-      QueryOutcome& out) const;
+      bool resumable, QueryOutcome& out) const;
 
   const EngineOptions options_;
 

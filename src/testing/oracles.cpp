@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "aca/aca.hpp"
 #include "aca/explorer.hpp"
 #include "analysis/energy.hpp"
@@ -25,7 +27,6 @@
 #include "phasespace/functional_graph.hpp"
 #include "phasespace/sharded_build.hpp"
 #include "phasespace/successor_store.hpp"
-#include "phasespace/supervised.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/supervisor.hpp"
@@ -296,44 +297,68 @@ PropertyResult check_budget_truncation(const TestCase& tc) {
   const auto a = tc.automaton();
   const auto full = phasespace::FunctionalGraph::synchronous(a);
   const std::uint64_t count = full.num_states();
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("tca-trunc-oracle-" + std::to_string(::getpid()) + "-" +
+       std::to_string(tc.seed) + "-" + std::to_string(tc.n));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 
-  // A state budget of half the space must stop the build exactly there,
-  // with the computed prefix bit-identical to the full table's.
-  const std::uint64_t cap = std::max<std::uint64_t>(1, count / 2);
+  // A state budget of half the space must stop a disk build with
+  // max-states, holding only whole shards and never more states than
+  // the budget admitted.
+  const std::uint64_t cap = count / 2;
+  phasespace::ShardedBuildOptions options;
+  options.store = phasespace::StoreKind::kDisk;
+  options.disk_dir = dir.string();
+  options.shard_states = phasespace::kPutAlign;
+  options.workers = 1 + static_cast<unsigned>(tc.seed % 3);
   runtime::RunBudget budget;
   budget.max_states = cap;
   runtime::RunControl control(budget);
-  const auto build = phasespace::FunctionalGraph::build_synchronous(a,
-                                                                    control);
-  if (cap >= count) {
-    if (!build.complete() ||
-        build.graph->successors() != full.successors()) {
-      return PropertyResult::fail("unlimited-enough budget still truncated");
+  auto cut = phasespace::build_synchronous_sharded(a, options, control);
+  const std::uint64_t stored = cut.stats.stored_states;
+  const auto verdict = [&]() -> PropertyResult {
+    if (cut.complete() ||
+        cut.build.status.stop_reason != runtime::StopReason::kMaxStates) {
+      return PropertyResult::fail(
+          "budget of " + std::to_string(cap) + "/" + std::to_string(count) +
+          " states did not stop the build with max-states (got " +
+          runtime::stop_reason_name(cut.build.status.stop_reason) + ")");
+    }
+    if (stored % phasespace::kPutAlign != 0 ||
+        stored > cut.build.states_built || cut.build.states_built > cap) {
+      return PropertyResult::fail(
+          "truncated build stored " + std::to_string(stored) +
+          " states and stepped " + std::to_string(cut.build.states_built) +
+          "; want whole shards <= stepped <= the budget of " +
+          std::to_string(cap));
+    }
+    // Resumed unbudgeted, the build skips exactly the stored shards and
+    // ends bit-identical to the reference.
+    cut.store.reset();  // close the partial store before reopening it
+    options.resume = true;
+    runtime::RunControl unlimited;
+    const auto resumed =
+        phasespace::build_synchronous_sharded(a, options, unlimited);
+    if (!resumed.complete() || resumed.stats.resumed_states != stored) {
+      return PropertyResult::fail(
+          "resume after the cut resumed " +
+          std::to_string(resumed.stats.resumed_states) + " states; the cut "
+          "stored " + std::to_string(stored));
+    }
+    for (std::uint64_t s = 0; s < count; ++s) {
+      if (resumed.build.graph->succ(s) != full.succ(s)) {
+        return PropertyResult::fail(
+            "resumed table diverges from the full table at state " +
+            std::to_string(s));
+      }
     }
     return PropertyResult::pass();
-  }
-  if (!build.truncated() ||
-      build.status.stop_reason != runtime::StopReason::kMaxStates) {
-    return PropertyResult::fail(
-        "budget of " + std::to_string(cap) + "/" + std::to_string(count) +
-        " states did not stop the build with max-states (got " +
-        runtime::stop_reason_name(build.status.stop_reason) + ")");
-  }
-  if (build.states_built != cap ||
-      build.partial_succ.size() != build.states_built) {
-    return PropertyResult::fail(
-        "truncated build reports " + std::to_string(build.states_built) +
-        " states with a " + std::to_string(build.partial_succ.size()) +
-        "-entry prefix; budget was " + std::to_string(cap));
-  }
-  for (std::uint64_t s = 0; s < build.states_built; ++s) {
-    if (build.partial_succ[s] != full.succ(s)) {
-      return PropertyResult::fail(
-          "truncated prefix diverges from the full table at state " +
-          std::to_string(s));
-    }
-  }
-  return PropertyResult::pass();
+  }();
+  fs::remove_all(dir, ec);
+  return verdict;
 }
 
 PropertyResult check_batch_isa_agree(const TestCase& tc) {
@@ -406,10 +431,11 @@ PropertyResult check_supervised_equivalence(const TestCase& tc) {
   const auto a = tc.automaton();
   const auto reference = phasespace::FunctionalGraph::synchronous(a);
 
-  // Supervised build under one injected transient failure, starting at a
-  // seed-rotated ladder rung: the supervisor must absorb the fault in
-  // exactly one retry and the result must be bit-identical to the
-  // fault-free baseline — a degraded/retried result IS the result.
+  // Supervised sharded build under one injected transient failure,
+  // starting at a seed-rotated ladder rung with a seed-rotated worker
+  // count: the supervisor must absorb the fault in exactly one retry and
+  // the result must be bit-identical to the fault-free baseline — a
+  // degraded/retried result IS the result.
   runtime::SupervisorOptions options;
   options.retry.max_attempts = 4;
   options.retry.initial_backoff = std::chrono::milliseconds{1};
@@ -417,9 +443,12 @@ PropertyResult check_supervised_equivalence(const TestCase& tc) {
   options.apply_backoff = false;  // record delays, never sleep in PBT
   options.start_rung =
       static_cast<runtime::EngineRung>(tc.seed % runtime::kEngineRungCount);
+  phasespace::ShardedBuildOptions build;
+  build.store = phasespace::StoreKind::kFlat;
+  build.workers = 1 + static_cast<unsigned>((tc.seed >> 2) % 3);
 
   runtime::ScopedFaultPlan plan({.retry_transient_at = 1});
-  const auto out = phasespace::supervised_synchronous(a, options);
+  const auto out = phasespace::supervised_synchronous_sharded(a, build, options);
   if (out.report.state != runtime::SupervisedState::kCompleted) {
     return PropertyResult::fail(
         "supervised build under one injected transient ended " +
@@ -432,7 +461,7 @@ PropertyResult check_supervised_equivalence(const TestCase& tc) {
         std::to_string(out.report.attempts));
   }
   if (!out.build.complete() ||
-      out.build.graph->successors() != reference.successors()) {
+      out.build.build.graph->successors() != reference.successors()) {
     return PropertyResult::fail(
         "supervised successor table diverges from the fault-free baseline "
         "(start rung " +

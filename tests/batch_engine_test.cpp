@@ -445,8 +445,9 @@ TEST(BatchIsaDispatch, UnavailableTierDegradesToBestWithWarn) {
   const std::size_t n = 8;
   const auto a = Automaton::line(n, 1, Boundary::kRing, rules::majority(),
                                  Memory::kWith);
+  const auto scalar = phasespace::synchronous_code_step(a);
   std::vector<StateCode> reference(StateCode{1} << n);
-  phasespace::batch_code_step(a, 0, reference.size(), reference.data());
+  for (StateCode s = 0; s < reference.size(); ++s) reference[s] = scalar(s);
 
   static obs::Counter& fallbacks = obs::counter("engine.batch.fallback");
   std::vector<obs::LogRecord> captured;
@@ -496,18 +497,6 @@ TEST(BatchIsaDispatch, UnrecognizedOverrideDegradesToBestWithWarn) {
   EXPECT_EQ(field_value(captured[0], "context"), "isa-dispatch");
   EXPECT_EQ(field_value(captured[0], "reason"),
             "unrecognized TCA_BATCH_ISA value");
-}
-
-TEST(BatchCodeStep, OneShotEntryPointMatchesScalar) {
-  const std::size_t n = 7;
-  const auto a = Automaton::line(n, 2, Boundary::kRing, rules::majority(),
-                                 Memory::kWith);
-  const auto scalar = phasespace::synchronous_code_step(a);
-  std::vector<StateCode> got(StateCode{1} << n);
-  phasespace::batch_code_step(a, 0, got.size(), got.data());
-  for (StateCode s = 0; s < got.size(); ++s) {
-    ASSERT_EQ(got[s], scalar(s)) << "code " << s;
-  }
 }
 
 }  // namespace

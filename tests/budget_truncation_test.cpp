@@ -1,32 +1,92 @@
 // Budget-truncation semantics across every budgeted engine
 // (docs/robustness.md): when a RunControl trips, each engine must return a
-// well-formed PARTIAL result — an exact prefix (serial builds), an exact
-// subset (BFS/DFS reach sets), or counts-only (parallel builds) — with
-// `truncated` and a correct stop_reason, and a generous budget must
-// reproduce the unbudgeted result bit-for-bit. Fixed tiny instances keep
-// every expectation deterministic.
+// well-formed PARTIAL result — whole stored shards (phase-space builds;
+// an exact prefix with one worker), an exact subset (BFS/DFS reach sets)
+// — with `truncated` and a correct stop_reason, and a generous budget
+// must reproduce the unbudgeted result bit-for-bit. Fixed tiny instances
+// keep every expectation deterministic.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "aca/explorer.hpp"
 #include "core/automaton.hpp"
-#include "core/thread_pool.hpp"
 #include "interleave/explorer.hpp"
 #include "interleave/vm.hpp"
 #include "phasespace/functional_graph.hpp"
 #include "phasespace/preimage.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "rules/rule.hpp"
 #include "runtime/budget.hpp"
 
 namespace tca {
 namespace {
 
+namespace fs = std::filesystem;
 using phasespace::FunctionalGraph;
+using phasespace::ShardedBuild;
+using phasespace::ShardedBuildOptions;
+using phasespace::StateCode;
+using phasespace::StoreKind;
 using runtime::RunBudget;
 using runtime::RunControl;
 using runtime::StopReason;
+
+/// Per-test, per-process scratch directory for disk-backed builds.
+class TempDir {
+ public:
+  TempDir()
+      : path_(fs::temp_directory_path() /
+              ("tca-budget-trunc-" +
+               std::string(::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name()) +
+               "-" + std::to_string(::getpid()))) {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  [[nodiscard]] std::string str() const { return path_.string(); }
+
+ private:
+  fs::path path_;
+};
+
+/// One worker over kPutAlign-sized disk shards: shards are claimed in
+/// order, so a truncated build's stored shards are a prefix and its
+/// partial store stays readable.
+ShardedBuildOptions serial_disk_options(const TempDir& dir) {
+  ShardedBuildOptions options;
+  options.store = StoreKind::kDisk;
+  options.disk_dir = dir.str();
+  options.shard_states = phasespace::kPutAlign;
+  options.workers = 1;
+  return options;
+}
+
+/// Checks a truncated one-worker disk build: `stored` states in whole
+/// shards, every stepped state stored, and the stored prefix equal to
+/// the full table.
+void expect_exact_prefix(const ShardedBuild& build, const FunctionalGraph& full,
+                         std::uint64_t stored) {
+  EXPECT_EQ(build.stats.stored_states, stored);
+  EXPECT_EQ(build.build.states_built, stored);
+  ASSERT_NE(build.store, nullptr);  // the partial disk store, for resume
+  std::vector<StateCode> prefix(static_cast<std::size_t>(stored));
+  build.store->read_range(0, prefix.size(), prefix.data());
+  for (std::uint64_t s = 0; s < stored; ++s) {
+    EXPECT_EQ(prefix[s], full.succ(s)) << "state " << s;
+  }
+}
 
 core::Automaton majority_ring(std::uint32_t n) {
   return core::Automaton::line(n, 1, core::Boundary::kRing, rules::majority(),
@@ -39,35 +99,33 @@ core::Automaton parity_ring(std::uint32_t n) {
 }
 
 TEST(BudgetTruncation, SerialBuildStopsWithExactPrefix) {
-  const auto a = parity_ring(8);  // 256 states
+  const auto a = parity_ring(12);  // 4096 states: eight 512-state shards
   const auto full = FunctionalGraph::synchronous(a);
+  const TempDir dir;
 
-  RunControl control(RunBudget{.max_states = 40});
-  const auto build = FunctionalGraph::build_synchronous(a, control);
-  ASSERT_TRUE(build.truncated());
-  EXPECT_FALSE(build.graph.has_value());
-  EXPECT_EQ(build.status.stop_reason, StopReason::kMaxStates);
-  // The budget admits 40 notes and trips on the 41st.
-  EXPECT_EQ(build.states_built, 40u);
-  ASSERT_EQ(build.partial_succ.size(), build.states_built);
-  for (std::uint64_t s = 0; s < build.states_built; ++s) {
-    EXPECT_EQ(build.partial_succ[s], full.succ(s)) << "state " << s;
-  }
+  // 512-state blocks: the budget admits two and trips on the third.
+  RunControl control(RunBudget{.max_states = 1500});
+  const auto build =
+      phasespace::build_synchronous_sharded(a, serial_disk_options(dir),
+                                            control);
+  ASSERT_FALSE(build.complete());
+  EXPECT_FALSE(build.build.graph.has_value());
+  EXPECT_EQ(build.build.status.stop_reason, StopReason::kMaxStates);
+  expect_exact_prefix(build, full, 1024);
 }
 
 TEST(BudgetTruncation, SweepBuildStopsWithExactPrefix) {
-  const auto a = majority_ring(7);
-  std::vector<core::NodeId> order{3, 1, 4, 0, 5, 2, 6};
+  const auto a = majority_ring(11);
+  std::vector<core::NodeId> order{3, 1, 4, 0, 5, 2, 6, 10, 8, 7, 9};
   const auto full = FunctionalGraph::sweep(a, order);
+  const TempDir dir;
 
-  RunControl control(RunBudget{.max_states = 25});
-  const auto build = FunctionalGraph::build_sweep(a, order, control);
-  ASSERT_TRUE(build.truncated());
-  EXPECT_EQ(build.status.stop_reason, StopReason::kMaxStates);
-  EXPECT_EQ(build.states_built, 25u);
-  for (std::uint64_t s = 0; s < build.states_built; ++s) {
-    EXPECT_EQ(build.partial_succ[s], full.succ(s)) << "state " << s;
-  }
+  RunControl control(RunBudget{.max_states = 1100});
+  const auto build = phasespace::build_sweep_sharded(
+      a, order, serial_disk_options(dir), control);
+  ASSERT_FALSE(build.complete());
+  EXPECT_EQ(build.build.status.stop_reason, StopReason::kMaxStates);
+  expect_exact_prefix(build, full, 1024);
 }
 
 TEST(BudgetTruncation, GenerousBudgetReproducesTheUnbudgetedTable) {
@@ -75,45 +133,51 @@ TEST(BudgetTruncation, GenerousBudgetReproducesTheUnbudgetedTable) {
   const auto full = FunctionalGraph::synchronous(a);
 
   RunControl control;  // unlimited
-  const auto build = FunctionalGraph::build_synchronous(a, control);
+  ShardedBuildOptions options;
+  options.store = StoreKind::kFlat;
+  const auto build = phasespace::build_synchronous_sharded(a, options, control);
   ASSERT_TRUE(build.complete());
-  EXPECT_EQ(build.status.stop_reason, StopReason::kNone);
-  EXPECT_EQ(build.graph->successors(), full.successors());
-  EXPECT_TRUE(build.partial_succ.empty());  // table lives in `graph`
+  EXPECT_EQ(build.build.status.stop_reason, StopReason::kNone);
+  EXPECT_EQ(build.build.states_built, full.num_states());
+  EXPECT_EQ(build.build.graph->successors(), full.successors());
 }
 
 TEST(BudgetTruncation, ParallelBuildReportsCountsOnlyWhenTruncated) {
-  const auto a = parity_ring(12);  // 4096 states, several 1024-wide chunks
-  core::ThreadPool pool(2);
+  const auto a = parity_ring(12);  // 4096 states, many 256-state shards
 
-  RunControl control(RunBudget{.max_states = 64});
-  const auto build =
-      FunctionalGraph::build_synchronous_parallel(a, pool, control);
-  ASSERT_TRUE(build.truncated());
-  EXPECT_EQ(build.status.stop_reason, StopReason::kMaxStates);
-  // Chunks complete in nondeterministic order, so no prefix is promised —
-  // only counts (states_built counts CHARGED visits, bulk-noted 1024 at a
-  // time, so it can overshoot the 64-state budget but not reach the total:
-  // each participant observes the trip at its first bulk note).
-  EXPECT_TRUE(build.partial_succ.empty());
-  EXPECT_GT(build.states_built, 0u);
-  EXPECT_LT(build.states_built, std::uint64_t{1} << 12);
+  ShardedBuildOptions options;
+  options.store = StoreKind::kFlat;
+  options.shard_states = 256;
+  options.workers = 2;
+  RunControl control(RunBudget{.max_states = 1000});
+  const auto build = phasespace::build_synchronous_sharded(a, options, control);
+  ASSERT_FALSE(build.complete());
+  EXPECT_EQ(build.build.status.stop_reason, StopReason::kMaxStates);
+  // Shards complete in nondeterministic order, so no prefix is promised —
+  // only counts, and no partial RAM table: whole stored shards, never
+  // more states stepped than the budget admitted.
+  EXPECT_EQ(build.store, nullptr);
+  EXPECT_EQ(build.stats.stored_states % options.shard_states, 0u);
+  EXPECT_LE(build.stats.stored_states, build.build.states_built);
+  EXPECT_LE(build.build.states_built, 1000u);
 
   // And with no budget the parallel build completes, matching serial.
   RunControl unlimited;
-  const auto ok =
-      FunctionalGraph::build_synchronous_parallel(a, pool, unlimited);
+  const auto ok = phasespace::build_synchronous_sharded(a, options, unlimited);
   ASSERT_TRUE(ok.complete());
-  EXPECT_EQ(ok.graph->successors(),
+  EXPECT_EQ(ok.build.graph->successors(),
             FunctionalGraph::synchronous(a).successors());
 }
 
 TEST(BudgetTruncation, ByteBudgetRejectsTheTableUpFront) {
   const auto a = parity_ring(12);  // 4096 states x 8 bytes
   RunControl control(RunBudget{.max_bytes = 1024});
-  const auto build = FunctionalGraph::build_synchronous(a, control);
-  ASSERT_TRUE(build.truncated());
-  EXPECT_EQ(build.status.stop_reason, StopReason::kMaxBytes);
+  ShardedBuildOptions options;
+  options.store = StoreKind::kFlat;
+  const auto build = phasespace::build_synchronous_sharded(a, options, control);
+  ASSERT_FALSE(build.complete());
+  EXPECT_EQ(build.build.status.stop_reason, StopReason::kMaxBytes);
+  EXPECT_EQ(build.build.states_built, 0u);
 }
 
 TEST(BudgetTruncation, AcaExploreReturnsSubsetOfFullReachSet) {
@@ -204,10 +268,11 @@ TEST(BudgetTruncation, PreCancelledControlStopsEveryEngineImmediately) {
   const auto a = majority_ring(6);
   {
     RunControl control(unlimited, token);
-    const auto build = FunctionalGraph::build_synchronous(a, control);
-    EXPECT_TRUE(build.truncated());
-    EXPECT_EQ(build.status.stop_reason, StopReason::kCancelled);
-    EXPECT_EQ(build.states_built, 0u);
+    const auto build = phasespace::build_synchronous_sharded(
+        a, ShardedBuildOptions{}, control);
+    EXPECT_TRUE(build.build.truncated());
+    EXPECT_EQ(build.build.status.stop_reason, StopReason::kCancelled);
+    EXPECT_EQ(build.build.states_built, 0u);
   }
   {
     RunControl control(unlimited, token);

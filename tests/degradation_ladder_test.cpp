@@ -1,17 +1,22 @@
 // Engine-degradation ladder differentials (docs/robustness.md): every
-// rung — wide-SIMD, 64-lane batch, packed, scalar — must produce
-// bit-identical successor tables and Garden-of-Eden censuses over the
-// property-based generators, because a degraded result IS the result. The
-// supervised wrappers are then driven through injected memory pressure
-// and composed fault plans to prove the walk down the ladder recovers
-// without changing a single bit.
+// rung — wide-SIMD, 64-lane batch, scalar — must produce bit-identical
+// successor tables and Garden-of-Eden censuses over the property-based
+// generators, because a degraded result IS the result. The supervised
+// wrappers are then driven through injected memory pressure and composed
+// fault plans to prove the walk down the ladder recovers without
+// changing a single bit.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "phasespace/functional_graph.hpp"
 #include "phasespace/preimage.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "phasespace/supervised.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/error.hpp"
@@ -26,8 +31,7 @@ using runtime::EngineRung;
 using runtime::ScopedFaultPlan;
 
 constexpr EngineRung kAllRungs[] = {EngineRung::kWideSimd,
-                                    EngineRung::kBatch64, EngineRung::kPacked,
-                                    EngineRung::kScalar};
+                                    EngineRung::kBatch64, EngineRung::kScalar};
 
 testing::TestCase ladder_case(std::uint64_t index) {
   testing::CaseOptions options;
@@ -45,6 +49,13 @@ runtime::SupervisorOptions fast_supervision() {
   return options;
 }
 
+/// The supervised builds below write a flat table.
+ShardedBuildOptions flat_build() {
+  ShardedBuildOptions options;
+  options.store = StoreKind::kFlat;
+  return options;
+}
+
 TEST(DegradationLadder, EveryRungBuildsTheIdenticalTable) {
   for (std::uint64_t i = 0; i < 24; ++i) {
     const auto tc = ladder_case(i);
@@ -52,11 +63,13 @@ TEST(DegradationLadder, EveryRungBuildsTheIdenticalTable) {
     const auto a = tc.automaton();
     const auto reference = FunctionalGraph::synchronous(a);
     for (const EngineRung rung : kAllRungs) {
+      ShardedBuildOptions options = flat_build();
+      options.rung = rung;
       runtime::RunControl control;
-      const auto build = build_synchronous_at_rung(a, rung, control);
+      const auto build = build_synchronous_sharded(a, options, control);
       ASSERT_TRUE(build.complete())
           << "case " << i << " rung " << runtime::rung_name(rung);
-      ASSERT_EQ(build.graph->successors(), reference.successors())
+      ASSERT_EQ(build.build.graph->successors(), reference.successors())
           << "case " << i << " rung " << runtime::rung_name(rung);
     }
   }
@@ -84,26 +97,52 @@ TEST(DegradationLadder, EveryRungCountsTheIdenticalGoeCensus) {
 }
 
 TEST(DegradationLadder, TruncationAtAnyRungIsAnExactPrefix) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tca-ladder-prefix-" + std::to_string(::getpid()));
+  // The generated cases, plus one ring with several 512-state shards so
+  // every rung cuts a non-empty prefix.
+  std::vector<core::Automaton> automata;
   for (std::uint64_t i = 0; i < 12; ++i) {
     const auto tc = ladder_case(i);
-    if (tc.n < 4) continue;
-    const auto a = tc.automaton();
+    if (tc.n >= 4) automata.push_back(tc.automaton());
+  }
+  automata.push_back(core::Automaton::line(12, 1, core::Boundary::kRing,
+                                           rules::majority(),
+                                           core::Memory::kWith));
+  for (std::size_t i = 0; i < automata.size(); ++i) {
+    const auto& a = automata[i];
     const auto full = FunctionalGraph::synchronous(a);
     for (const EngineRung rung : kAllRungs) {
+      SCOPED_TRACE("automaton " + std::to_string(i) + " rung " +
+                   runtime::rung_name(rung));
+      // One worker claims shards in order: the stored shards are a prefix.
+      ShardedBuildOptions options;
+      options.store = StoreKind::kDisk;
+      options.disk_dir = dir.string();
+      options.shard_states = kPutAlign;
+      options.workers = 1;
+      options.rung = rung;
       runtime::RunBudget budget;
-      budget.max_states = 5;
+      budget.max_states = full.num_states() - 1;
       runtime::RunControl control(budget);
-      const auto build = build_synchronous_at_rung(a, rung, control);
-      ASSERT_TRUE(build.truncated())
-          << "case " << i << " rung " << runtime::rung_name(rung);
-      ASSERT_EQ(build.partial_succ.size(), build.states_built);
-      for (std::uint64_t s = 0; s < build.states_built; ++s) {
-        ASSERT_EQ(build.partial_succ[s], full.succ(s))
-            << "case " << i << " rung " << runtime::rung_name(rung)
-            << " state " << s;
+      std::error_code ec;
+      fs::remove_all(dir, ec);
+      const auto build = build_synchronous_sharded(a, options, control);
+      ASSERT_TRUE(build.build.truncated());
+      const std::uint64_t stored = build.stats.stored_states;
+      EXPECT_EQ(stored, (full.num_states() - 1) / kPutAlign * kPutAlign);
+      EXPECT_EQ(build.build.states_built, stored);
+      ASSERT_NE(build.store, nullptr);
+      std::vector<StateCode> prefix(static_cast<std::size_t>(stored));
+      build.store->read_range(0, prefix.size(), prefix.data());
+      for (std::uint64_t s = 0; s < stored; ++s) {
+        ASSERT_EQ(prefix[s], full.succ(s)) << "state " << s;
       }
     }
   }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(DegradationLadder, SupervisedBuildRecoversFromMemoryPressure) {
@@ -114,7 +153,8 @@ TEST(DegradationLadder, SupervisedBuildRecoversFromMemoryPressure) {
     const auto reference = FunctionalGraph::synchronous(a);
 
     ScopedFaultPlan plan({.alloc_failure_at = 1});
-    const auto out = supervised_synchronous(a, fast_supervision());
+    const auto out =
+        supervised_synchronous_sharded(a, flat_build(), fast_supervision());
     EXPECT_EQ(out.report.state, runtime::SupervisedState::kCompleted)
         << "case " << i;
     EXPECT_EQ(out.report.attempts, 2u);
@@ -122,7 +162,7 @@ TEST(DegradationLadder, SupervisedBuildRecoversFromMemoryPressure) {
     EXPECT_EQ(out.report.final_rung, EngineRung::kBatch64)
         << "one bad_alloc walks exactly one rung down";
     ASSERT_TRUE(out.build.complete()) << "case " << i;
-    ASSERT_EQ(out.build.graph->successors(), reference.successors())
+    ASSERT_EQ(out.build.build.graph->successors(), reference.successors())
         << "case " << i << ": the degraded result must be bit-identical";
   }
 }
@@ -156,7 +196,8 @@ TEST(DegradationLadder, ComposedPlanStillRecovers) {
     const auto reference = FunctionalGraph::synchronous(a);
 
     ScopedFaultPlan plan({.alloc_failure_at = 1, .retry_transient_at = 1});
-    const auto out = supervised_synchronous(a, fast_supervision());
+    const auto out =
+        supervised_synchronous_sharded(a, flat_build(), fast_supervision());
     EXPECT_EQ(out.report.state, runtime::SupervisedState::kCompleted)
         << "case " << i;
     EXPECT_EQ(out.report.attempts, 3u)
@@ -165,7 +206,7 @@ TEST(DegradationLadder, ComposedPlanStillRecovers) {
     EXPECT_EQ(out.report.failures[0].code, tca::ErrorCode::kFaultInjected);
     EXPECT_TRUE(out.report.degraded);
     ASSERT_TRUE(out.build.complete());
-    ASSERT_EQ(out.build.graph->successors(), reference.successors())
+    ASSERT_EQ(out.build.build.graph->successors(), reference.successors())
         << "case " << i;
   }
 }
@@ -177,12 +218,12 @@ TEST(DegradationLadder, SupervisedBuildHonoursStartRung) {
   for (const EngineRung rung : kAllRungs) {
     auto options = fast_supervision();
     options.start_rung = rung;
-    const auto out = supervised_synchronous(a, options);
+    const auto out = supervised_synchronous_sharded(a, flat_build(), options);
     EXPECT_EQ(out.report.state, runtime::SupervisedState::kCompleted);
     EXPECT_EQ(out.report.final_rung, rung);
     EXPECT_FALSE(out.report.degraded);
     ASSERT_TRUE(out.build.complete());
-    ASSERT_EQ(out.build.graph->successors(), reference.successors())
+    ASSERT_EQ(out.build.build.graph->successors(), reference.successors())
         << runtime::rung_name(rung);
   }
 }
@@ -195,17 +236,19 @@ TEST(DegradationLadder, SupervisedCancellationIsWellFormedTruncation) {
     const auto full = FunctionalGraph::synchronous(a);
 
     ScopedFaultPlan plan({.cancel_at_visit = 5});
-    const auto out = supervised_synchronous(a, fast_supervision());
+    const auto out =
+        supervised_synchronous_sharded(a, flat_build(), fast_supervision());
     ASSERT_EQ(out.report.state, runtime::SupervisedState::kTruncated)
         << "case " << i;
     EXPECT_EQ(out.report.attempts, 1u) << "truncation is never retried";
     EXPECT_EQ(out.report.last_status.stop_reason,
               runtime::StopReason::kCancelled);
-    ASSERT_EQ(out.build.partial_succ.size(), out.build.states_built);
-    for (std::uint64_t s = 0; s < out.build.states_built; ++s) {
-      ASSERT_EQ(out.build.partial_succ[s], full.succ(s))
-          << "case " << i << " state " << s;
-    }
+    // Counts only: no graph, no partial RAM table, and the whole shards
+    // stored never exceed the states stepped before the cancellation.
+    EXPECT_FALSE(out.build.build.graph.has_value());
+    EXPECT_EQ(out.build.store, nullptr);
+    EXPECT_LE(out.build.stats.stored_states, out.build.build.states_built);
+    EXPECT_LT(out.build.build.states_built, full.num_states());
   }
 }
 

@@ -1,7 +1,8 @@
 // Deterministic fault-injection matrix (docs/robustness.md): every
 // graceful-degradation path — injected allocation failure, injected
-// thread-pool chunk exceptions, injected cancellation at the k-th visited
-// state, simulated thread-spawn failure — driven over generator-produced
+// thread-pool chunk and sharded-build shard exceptions, injected
+// cancellation at the k-th visited state, simulated thread-spawn
+// failure — driven over generator-produced
 // random cases from the property-based harness. The CI `faultinject` job
 // re-runs this suite under ASan+UBSan to prove the failure paths leak
 // nothing and never terminate.
@@ -11,11 +12,13 @@
 #include <filesystem>
 #include <new>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
 #include "core/thread_pool.hpp"
 #include "phasespace/functional_graph.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/error.hpp"
@@ -27,12 +30,37 @@ namespace tca::runtime {
 namespace {
 
 using phasespace::FunctionalGraph;
+using phasespace::StateCode;
 
 /// Random cases kept small enough for explicit phase spaces.
 testing::TestCase small_case(std::uint64_t index) {
   testing::CaseOptions options;
   options.max_nodes = 10;
   return testing::random_case(testing::mix_seed(0xFA17ull, index), options);
+}
+
+/// The successor table stepped chunk by chunk across `pool` (one batch
+/// stepper per chunk): the pool's own fault surface.
+std::vector<StateCode> pool_table(const core::Automaton& a,
+                                  core::ThreadPool& pool) {
+  std::vector<StateCode> table(std::size_t{1} << a.size());
+  pool.parallel_for(0, table.size(), 64,
+                    [&a, &table](std::size_t begin, std::size_t end) {
+                      phasespace::BatchCodeStepper stepper(a);
+                      stepper.step_range(begin, end - begin,
+                                         table.data() + begin);
+                    });
+  return table;
+}
+
+/// A multi-worker sharded build of many small shards.
+phasespace::ShardedBuild sharded(const core::Automaton& a,
+                                 RunControl& control) {
+  phasespace::ShardedBuildOptions options;
+  options.store = phasespace::StoreKind::kFlat;
+  options.shard_states = 64;
+  options.workers = 3;
+  return phasespace::build_synchronous_sharded(a, options, control);
 }
 
 TEST(FaultInjection, HooksAreInertWithoutAPlan) {
@@ -113,14 +141,23 @@ TEST(FaultInjection, ChunkFaultAbortsParallelBuildAndPoolSurvives) {
     const auto a = tc.automaton();
     {
       ScopedFaultPlan plan({.chunk_exception_at = 1});
-      EXPECT_THROW((void)FunctionalGraph::synchronous_parallel(a, pool),
-                   tca::InjectedFaultError)
+      EXPECT_THROW((void)pool_table(a, pool), tca::InjectedFaultError)
           << "case " << i;
     }
-    // Pool and build still work, bit-identical to the serial path.
+    {
+      // A faulting shard aborts the sharded build the same way.
+      ScopedFaultPlan plan({.chunk_exception_at = 1});
+      RunControl control;
+      EXPECT_THROW((void)sharded(a, control), tca::InjectedFaultError)
+          << "case " << i;
+    }
+    // Pool and builds still work, bit-identical to the one-worker path.
     const auto serial = FunctionalGraph::synchronous(a);
-    const auto parallel = FunctionalGraph::synchronous_parallel(a, pool);
-    ASSERT_EQ(serial.successors(), parallel.successors()) << "case " << i;
+    ASSERT_EQ(pool_table(a, pool), serial.successors()) << "case " << i;
+    RunControl control;
+    ASSERT_EQ(sharded(a, control).build.graph->successors(),
+              serial.successors())
+        << "case " << i;
   }
 }
 
@@ -133,16 +170,13 @@ TEST(FaultInjection, CancelAtVisitTruncatesBudgetedBuild) {
 
     ScopedFaultPlan plan({.cancel_at_visit = 5});
     RunControl control;
-    const auto build = FunctionalGraph::build_synchronous(a, control);
-    ASSERT_TRUE(build.truncated()) << "case " << i;
-    EXPECT_EQ(build.status.stop_reason, StopReason::kCancelled);
-    EXPECT_LT(build.states_built, full.num_states());
-    // The prefix computed before the cancellation is exact.
-    ASSERT_EQ(build.partial_succ.size(), build.states_built);
-    for (std::uint64_t s = 0; s < build.states_built; ++s) {
-      ASSERT_EQ(build.partial_succ[s], full.succ(s))
-          << "case " << i << " state " << s;
-    }
+    const auto build = sharded(a, control);
+    ASSERT_TRUE(build.build.truncated()) << "case " << i;
+    EXPECT_EQ(build.build.status.stop_reason, StopReason::kCancelled);
+    EXPECT_LT(build.build.states_built, full.num_states());
+    // Whole shards only, each one stepped before the cancellation.
+    EXPECT_EQ(build.stats.stored_states % 64, 0u);
+    EXPECT_LE(build.stats.stored_states, build.build.states_built);
   }
 }
 
@@ -155,8 +189,13 @@ TEST(FaultInjection, SpawnFailureDegradedPoolStillBuildsCorrectTables) {
     if (tc.n == 0) continue;
     const auto a = tc.automaton();
     const auto serial = FunctionalGraph::synchronous(a);
-    const auto degraded = FunctionalGraph::synchronous_parallel(a, pool);
-    ASSERT_EQ(serial.successors(), degraded.successors()) << "case " << i;
+    ASSERT_EQ(pool_table(a, pool), serial.successors()) << "case " << i;
+    // The sharded builder degrades to the calling thread alone.
+    RunControl control;
+    const auto degraded = sharded(a, control);
+    ASSERT_TRUE(degraded.complete()) << "case " << i;
+    ASSERT_EQ(degraded.build.graph->successors(), serial.successors())
+        << "case " << i;
   }
 }
 

@@ -1,15 +1,16 @@
 // Unit tests for deterministic phase spaces (src/phasespace) — including
-// the parallel side of the paper's Fig. 1.
+// the parallel side of the paper's Fig. 1 — and for the multi-worker
+// sharded build that every FunctionalGraph facade runs on.
 
 #include <gtest/gtest.h>
 
 #include "core/automaton.hpp"
 #include "core/schedule.hpp"
 #include "core/synchronous.hpp"
-#include "core/thread_pool.hpp"
 #include "graph/builders.hpp"
 #include "phasespace/classify.hpp"
 #include "phasespace/functional_graph.hpp"
+#include "phasespace/sharded_build.hpp"
 
 namespace tca::phasespace {
 namespace {
@@ -153,26 +154,34 @@ TEST(SweepPhaseSpace, SweepFixedPointsEqualParallelFixedPoints) {
 }
 
 TEST(ParallelBuild, MatchesSerialBuild) {
-  core::ThreadPool pool(4);
   for (const std::size_t n : {4u, 10u, 14u}) {
     const auto a = majority_ring(n);
     const auto serial = FunctionalGraph::synchronous(a);
-    const auto parallel = FunctionalGraph::synchronous_parallel(a, pool);
-    ASSERT_EQ(parallel.num_states(), serial.num_states()) << n;
-    for (StateCode s = 0; s < serial.num_states(); ++s) {
-      ASSERT_EQ(parallel.succ(s), serial.succ(s)) << "n=" << n << " s=" << s;
-    }
+    ShardedBuildOptions options;
+    options.store = StoreKind::kFlat;
+    options.shard_states = 256;
+    options.workers = 4;
+    runtime::RunControl control;
+    const auto parallel = build_synchronous_sharded(a, options, control);
+    ASSERT_TRUE(parallel.complete()) << n;
+    EXPECT_EQ(parallel.build.graph->successors(), serial.successors())
+        << "n=" << n;
   }
 }
 
 TEST(ParallelBuild, WorksWithParityAndSingleThread) {
-  core::ThreadPool pool(1);
   const auto a = Automaton::line(9, 1, Boundary::kRing, rules::parity(),
                                  Memory::kWith);
-  const auto serial = FunctionalGraph::synchronous(a);
-  const auto parallel = FunctionalGraph::synchronous_parallel(a, pool);
-  for (StateCode s = 0; s < serial.num_states(); ++s) {
-    ASSERT_EQ(parallel.succ(s), serial.succ(s)) << s;
+  const auto step = synchronous_code_step(a);
+  ShardedBuildOptions options;
+  options.store = StoreKind::kFlat;
+  options.shard_states = 100;
+  options.workers = 1;
+  runtime::RunControl control;
+  const auto built = build_synchronous_sharded(a, options, control);
+  ASSERT_TRUE(built.complete());
+  for (StateCode s = 0; s < built.build.graph->num_states(); ++s) {
+    ASSERT_EQ(built.build.graph->succ(s), step(s)) << s;
   }
 }
 

@@ -1,14 +1,16 @@
-// The scripts/resume_demo.sh contract as a ctest binary
-// (docs/robustness.md): a checkpointing sweep child process is SIGKILLed
-// mid-run, restarted, and must resume from its generational store and
-// produce a summary bit-identical to an uninterrupted run — including
-// when the head checkpoint it left behind is corrupted, in which case
-// recovery falls back to an older generation and quarantines the head.
+// The kill-and-resume contract as a ctest binary (docs/robustness.md): a
+// checkpointing sweep child process is SIGKILLed mid-run, restarted, and
+// must resume from its generational store and produce a summary
+// bit-identical to an uninterrupted run — including when the head
+// checkpoint it left behind is corrupted, in which case recovery falls
+// back to an older generation and quarantines the head, and when the
+// only checkpoint is truncated, in which case the rerun starts from
+// scratch and still converges to the same summary.
 //
 // This binary owns main(): when invoked as `... --child <workdir>
 // [--slow]` it IS the sweep child (the dispatch happens before gtest ever
 // sees argv), otherwise it runs the test suite, re-executing itself via
-// fork/exec as the child under test. POSIX-only, like resume_demo.sh.
+// fork/exec as the child under test. POSIX-only.
 
 #include <gtest/gtest.h>
 
@@ -228,6 +230,34 @@ TEST_F(ResumeSupervisedTest, CorruptHeadAfterKillRecoversFromGeneration) {
          "identical summary";
   EXPECT_TRUE(fs::exists(dir / "resume.ckpt.quarantined"))
       << "the corrupt head must be quarantined, not deleted";
+}
+
+TEST_F(ResumeSupervisedTest, TruncatedOnlyCheckpointRestartsFromScratch) {
+  const fs::path dir = make_workdir("truncated");
+  ASSERT_EQ(wait_for_exit(spawn_child(dir.string(), false)), 0);
+
+  // Keep only the head, then chop its tail: the payload is shorter than
+  // its framed byte count (kCheckpointTruncated), so no generation
+  // validates.
+  const fs::path head = dir / "resume.ckpt";
+  for (const std::string& path :
+       tca::runtime::CheckpointStore(head.string()).generations()) {
+    if (path != head.string()) fs::remove(path);
+  }
+  const std::string blob = read_file(head);
+  ASSERT_GT(blob.size(), 7u);
+  {
+    std::ofstream out(head, std::ios::binary | std::ios::trunc);
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size() - 7));
+  }
+
+  ASSERT_EQ(wait_for_exit(spawn_child(dir.string(), false)), 0);
+  const auto starts = run_starts(dir);
+  ASSERT_EQ(starts.size(), 2u);
+  EXPECT_EQ(starts[1], 0) << "a truncated checkpoint must not be resumed";
+  EXPECT_EQ(read_file(dir / "summary.txt"), baseline_)
+      << "the from-scratch rerun must match the uninterrupted run";
+  EXPECT_TRUE(fs::exists(dir / "resume.ckpt.quarantined"));
 }
 
 TEST_F(ResumeSupervisedTest, UninterruptedRerunIsANoOpResume) {

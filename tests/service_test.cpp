@@ -371,6 +371,37 @@ TEST(EngineResume, ForeignExtentsUnderTheDigestAreWipedNotResumed) {
   EXPECT_EQ(out.result.to_json(), fresh_answer(q));
 }
 
+// Builds at or below small_n_bits never spill resumable extents, even
+// with a ckpt dir: truncated or complete, they leave nothing under
+// ckpt_dir/store/, and they answer exactly like a no-ckpt engine.
+TEST(EngineSmallN, SmallBuildsLeaveNothingUnderTheCkptDir) {
+  const TempDir dir;
+  EngineOptions options;
+  options.ckpt_dir = dir.str() + "/ckpt";
+  QueryEngine engine(options);
+  const fs::path store = fs::path(options.ckpt_dir) / "store";
+  const auto spilled = [&] {
+    std::error_code ec;
+    return fs::exists(store, ec) && !fs::is_empty(store, ec);
+  };
+  for (const std::uint32_t n : {10u, options.small_n_bits}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const ServiceQuery q = attractor_query(n);
+    RequestBudget budget;
+    budget.max_states = 100;
+    const QueryOutcome cut = engine.execute(q, budget, {});
+    ASSERT_EQ(cut.status, QueryOutcome::Status::kTruncated) << cut.error;
+    EXPECT_EQ(cut.states_done, 0u) << "nothing is kept for a resume";
+    EXPECT_FALSE(spilled());
+
+    const QueryOutcome full = engine.execute(q, RequestBudget{}, {});
+    ASSERT_TRUE(full.ok()) << full.error;
+    EXPECT_FALSE(full.resumed);
+    EXPECT_EQ(full.result.to_json(), fresh_answer(q));
+    EXPECT_FALSE(spilled());
+  }
+}
+
 // ---------------------------------------------------------------------
 // Handler error envelope
 // ---------------------------------------------------------------------

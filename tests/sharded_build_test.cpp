@@ -1,4 +1,5 @@
 // Sharded work-stealing phase-space builds (docs/performance.md):
+// small-n builds below one shard against the scalar reference,
 // shard-boundary exactness against the serial table, determinism across
 // worker counts and steal interleavings, the budget/truncation contract,
 // NUMA topology probing, and disk-backed resume through the supervised
@@ -15,6 +16,7 @@
 #include <unistd.h>
 
 #include "core/automaton.hpp"
+#include "graph/builders.hpp"
 #include "phasespace/classify.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/error.hpp"
@@ -54,6 +56,61 @@ class TempDir {
  private:
   fs::path path_;
 };
+
+/// A majority automaton on a path of n cells (n = 0 is the empty one).
+core::Automaton majority_path(std::uint32_t n) {
+  return core::Automaton::from_graph(graph::path(n), rules::majority(),
+                                     core::Memory::kWith);
+}
+
+// The facades and every small build run on this builder, so builds
+// below one shard — and ragged shard splits of them — must match the
+// scalar reference entry for entry on every RAM backend, in both modes.
+// (A packed store needs entries of at least one bit, so the empty
+// automaton is built flat only.)
+TEST(ShardedBuild, SmallNBuildsMatchTheScalarReference) {
+  for (const std::uint32_t n : {0u, 1u, 5u, 9u, 10u, 16u}) {
+    const auto a = majority_path(n);
+    std::vector<core::NodeId> order(n);
+    for (std::uint32_t i = 0; i < n; ++i) order[i] = (i * 7 + 3) % n;
+    const auto sync_step = synchronous_code_step(a);
+    const auto sweep_step = sweep_code_step(a, order);
+    const StateCode count = StateCode{1} << n;
+    std::vector<StateCode> sync_want(count);
+    std::vector<StateCode> sweep_want(count);
+    for (StateCode s = 0; s < count; ++s) {
+      sync_want[s] = sync_step(s);
+      sweep_want[s] = sweep_step(s);
+    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    EXPECT_EQ(FunctionalGraph::synchronous(a).successors(), sync_want);
+    EXPECT_EQ(FunctionalGraph::sweep(a, order).successors(), sweep_want);
+    for (const unsigned workers : {1u, 3u}) {
+      for (const StoreKind kind : {StoreKind::kFlat, StoreKind::kPacked}) {
+        if (n == 0 && kind == StoreKind::kPacked) continue;
+        for (const StateCode shard : {StateCode{1} << 16, StateCode{100}}) {
+          SCOPED_TRACE("workers=" + std::to_string(workers) + " kind=" +
+                       store_kind_name(kind) +
+                       " shard=" + std::to_string(shard));
+          ShardedBuildOptions options;
+          options.store = kind;
+          options.workers = workers;
+          options.shard_states = shard;
+          runtime::RunControl sync_control;
+          const ShardedBuild sync =
+              build_synchronous_sharded(a, options, sync_control);
+          ASSERT_TRUE(sync.complete());
+          EXPECT_EQ(table_of(*sync.store), sync_want);
+          runtime::RunControl sweep_control;
+          const ShardedBuild sweep =
+              build_sweep_sharded(a, order, options, sweep_control);
+          ASSERT_TRUE(sweep.complete());
+          EXPECT_EQ(table_of(*sweep.store), sweep_want);
+        }
+      }
+    }
+  }
+}
 
 TEST(NumaTopology, ProbeAlwaysYieldsAtLeastOneGroupWithCpus) {
   const NumaTopology topo = probe_numa_topology();
@@ -126,7 +183,7 @@ TEST(ShardedBuild, SweepMatchesSerialSweep) {
 }
 
 // Truncation contract: a tripped budget yields counts only (no graph, no
-// store for RAM backends), exactly like build_synchronous_parallel.
+// store for RAM backends).
 TEST(ShardedBuild, BudgetTruncationReportsCountsOnly) {
   const auto a = majority_ring(10);
   runtime::RunBudget budget;
@@ -167,10 +224,12 @@ TEST(ShardedBuild, DiskTruncationThenResumeIsBitIdentical) {
     ASSERT_FALSE(out.complete());
     ASSERT_NE(out.store, nullptr);  // partial disk store, for resume
     // Whole stored shards only: the abandoned partial shard is not
-    // counted, though its states were charged to the budget.
+    // counted, though its states were charged to the budget; none of
+    // them was stepped.
     stored = out.stats.stored_states;
     EXPECT_EQ(stored, kPutAlign);
-    EXPECT_GT(out.build.states_built, stored);
+    EXPECT_GT(out.build.status.states, stored);
+    EXPECT_EQ(out.build.states_built, stored);
   }
   // Pass 2: resume skips the spilled shards and completes the rest.
   options.resume = true;

@@ -130,10 +130,8 @@ TEST(Supervisor, RetryTransientKnobForcesOneRetry) {
 
 TEST(Supervisor, PressureWalksTheLadderToTheFloor) {
   obs::Counter& to_batch = obs::counter("engine.degrade.batch64");
-  obs::Counter& to_packed = obs::counter("engine.degrade.packed");
   obs::Counter& to_scalar = obs::counter("engine.degrade.scalar");
   const auto batch_before = to_batch.value();
-  const auto packed_before = to_packed.value();
   const auto scalar_before = to_scalar.value();
 
   std::vector<obs::LogRecord> events;
@@ -150,12 +148,12 @@ TEST(Supervisor, PressureWalksTheLadderToTheFloor) {
   EXPECT_EQ(report.state, SupervisedState::kCompleted);
   EXPECT_TRUE(report.degraded);
   EXPECT_EQ(report.final_rung, EngineRung::kScalar);
+  // The third failure lands on the floor: it retries at kScalar.
   EXPECT_EQ(rungs,
             (std::vector<EngineRung>{EngineRung::kWideSimd,
-                                     EngineRung::kBatch64, EngineRung::kPacked,
+                                     EngineRung::kBatch64, EngineRung::kScalar,
                                      EngineRung::kScalar}));
   EXPECT_EQ(to_batch.value(), batch_before + 1);
-  EXPECT_EQ(to_packed.value(), packed_before + 1);
   EXPECT_EQ(to_scalar.value(), scalar_before + 1);
 
   // Latched severity: the FIRST walk down warns, further rungs are info.
@@ -163,10 +161,9 @@ TEST(Supervisor, PressureWalksTheLadderToTheFloor) {
   for (const auto& r : events) {
     if (r.event == "engine.degraded") degrade_levels.push_back(r.level);
   }
-  ASSERT_EQ(degrade_levels.size(), 3u);
+  ASSERT_EQ(degrade_levels.size(), 2u);
   EXPECT_EQ(degrade_levels[0], obs::LogLevel::kWarn);
   EXPECT_EQ(degrade_levels[1], obs::LogLevel::kInfo);
-  EXPECT_EQ(degrade_levels[2], obs::LogLevel::kInfo);
 }
 
 TEST(Supervisor, ScalarIsTheFloor) {
@@ -301,11 +298,9 @@ TEST(Supervisor, CountersAccountEveryOutcome) {
 TEST(Supervisor, RungNamesAndOrderAreStable) {
   EXPECT_STREQ(rung_name(EngineRung::kWideSimd), "wide-simd");
   EXPECT_STREQ(rung_name(EngineRung::kBatch64), "batch64");
-  EXPECT_STREQ(rung_name(EngineRung::kPacked), "packed");
   EXPECT_STREQ(rung_name(EngineRung::kScalar), "scalar");
   EXPECT_EQ(rung_below(EngineRung::kWideSimd), EngineRung::kBatch64);
-  EXPECT_EQ(rung_below(EngineRung::kBatch64), EngineRung::kPacked);
-  EXPECT_EQ(rung_below(EngineRung::kPacked), EngineRung::kScalar);
+  EXPECT_EQ(rung_below(EngineRung::kBatch64), EngineRung::kScalar);
   EXPECT_EQ(rung_below(EngineRung::kScalar), EngineRung::kScalar);
   EXPECT_STREQ(supervised_state_name(SupervisedState::kCompleted),
                "completed");
