@@ -8,9 +8,8 @@
 // produces bit-identical final verdicts.
 //
 // Both Verdict and ExperimentDriver end a run by writing a RunManifest
-// (obs/manifest.hpp) into results/ — the machine-readable artifact that
-// scripts/check_bench.py diffs; the human-readable stdout summary is
-// unchanged.
+// (obs/manifest.hpp) into results/ — the machine-readable artifact next to
+// the human-readable stdout summary.
 
 #include <algorithm>
 #include <chrono>

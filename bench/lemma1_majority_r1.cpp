@@ -4,10 +4,14 @@
 //       independent ways: SCC over the full choice digraph (exhaustive,
 //       n <= 14), all 7! sweep permutations (n = 7), and random fair
 //       schedules on larger rings (n <= 24) with the Lyapunov bound.
+// (iii) pins the exact work counters of those runs (states built, sweeps,
+//       node updates, flips, parallel steps), so a change in how much
+//       work the engines do fails the experiment.
 
 #include <algorithm>
 #include <cstdio>
 #include <random>
+#include <string>
 
 #include "analysis/energy.hpp"
 #include "bench/experiment_util.hpp"
@@ -17,6 +21,7 @@
 #include "core/synchronous.hpp"
 #include "core/trajectory.hpp"
 #include "graph/builders.hpp"
+#include "obs/metrics.hpp"
 #include "phasespace/choice_digraph.hpp"
 #include "phasespace/classify.hpp"
 
@@ -123,6 +128,23 @@ int main() {
     verdict.check("all 50 random-schedule runs converge to a fixed point",
                   all_converged);
   }
+
+  std::printf("\n(iii) Exact work tallies of the runs above (the same on "
+              "every host and SIMD tier):\n");
+  const auto tally = [&verdict](const char* name, std::uint64_t want) {
+    const std::uint64_t got = obs::counter(name).value();
+    std::printf("  %-32s %10llu\n", name,
+                static_cast<unsigned long long>(got));
+    verdict.check(std::string(name) + " = " + std::to_string(want),
+                  got == want);
+  };
+  tally("phasespace.build.runs", 5040);
+  tally("phasespace.build.states", 645120);
+  tally("engine.batch.sweeps", 645120);
+  tally("engine.sequential.node_updates", 2003);
+  tally("engine.sequential.flips", 181);
+  tally("engine.synchronous.steps", 40);
+  tally("engine.synchronous.cells", 500);
 
   return verdict.finish("LEM1");
 }

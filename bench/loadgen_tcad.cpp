@@ -13,17 +13,16 @@
 //                rest are "coalesced" (attached to the in-flight build)
 //                or "memory-cache" (arrived after publication).
 //
-// The workload is FIXED so its counters are deterministic:
-// loadgen.{requests,ok,errors,mismatch,coalesce_ok,server_counters_ok,
-// server_clean_shutdown} — committed in
-// bench/baselines/loadgen_tcad.manifest.json and diffed exactly by the
-// service-smoke CI job via scripts/check_bench.py. Timing (qps, p50/p99
-// request latency) is published as manifest benchmarks for trend
-// tracking but never gated — only counters gate.
+// The workload is FIXED, so its counters are exact: the run PASSes only
+// when loadgen.requests and loadgen.ok both equal the workload size
+// (kExpectedRequests) and there are no errors, no mismatches, one
+// coalesced build, matching server counters and a clean shutdown. Timing
+// (qps, p50/p99 request latency) is published as manifest benchmarks for
+// trend tracking but never gated.
 //
-// The baseline values assume spawn mode (the default): the bench forks
-// its own tcad, SIGTERMs it at the end, and requires a zero exit status
-// plus a PASS clean-shutdown check in the daemon's own manifest.
+// In spawn mode (the default) the bench forks its own tcad, SIGTERMs it
+// at the end, and requires a zero exit status plus a PASS clean-shutdown
+// check in the daemon's own manifest.
 
 #include <algorithm>
 #include <atomic>
@@ -81,6 +80,9 @@ constexpr CannedQuery kCanned[] = {
 constexpr std::size_t kCannedCount = sizeof kCanned / sizeof kCanned[0];
 constexpr int kHitRounds = 2;
 constexpr std::size_t kCoalesceClients = 8;
+/// Every MISS and HIT round plus one request per coalescing client.
+constexpr std::uint64_t kExpectedRequests =
+    kCannedCount * static_cast<std::size_t>(kHitRounds + 1) + kCoalesceClients;
 // The coalesce-phase cold query: a 2^14-state supervised build, big
 // enough that followers genuinely arrive mid-build on any machine.
 constexpr const char* kCoalesceQuery =
@@ -401,8 +403,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(p50),
               static_cast<unsigned long long>(p99));
 
-  const bool pass = c_errors.value() == 0 && c_mismatch.value() == 0 &&
-                    c_coalesce_ok.value() == 1 &&
+  const bool tally_ok = total == kExpectedRequests &&
+                        c_ok.value() == kExpectedRequests;
+  const bool pass = tally_ok && c_errors.value() == 0 &&
+                    c_mismatch.value() == 0 && c_coalesce_ok.value() == 1 &&
                     c_counters_ok.value() == 1 && c_clean.value() == 1;
 
   obs::RunManifest manifest;
@@ -410,6 +414,10 @@ int main(int argc, char** argv) {
   manifest.argv.assign(argv, argv + argc);
   manifest.status = pass ? "PASS" : "FAIL";
   manifest.wall_ms = wall_s * 1000.0;
+  manifest.checks.push_back(
+      {"request-tally", tally_ok ? "PASS" : "FAIL",
+       std::to_string(total) + " requests, " + std::to_string(c_ok.value()) +
+           " ok, of " + std::to_string(kExpectedRequests)});
   manifest.checks.push_back(
       {"no-errors", c_errors.value() == 0 ? "PASS" : "FAIL", ""});
   manifest.checks.push_back(

@@ -12,9 +12,6 @@ cannot express because they are *project* conventions, not language rules
                  diagnostics go through the structured log sink
                  (obs/log.hpp) so they land in JSONL, not interleaved
                  stderr garbage under a thread pool.
-  relaxed-order  `memory_order_relaxed` is allowed only in src/obs/ (the
-                 metrics shards are relaxed by design) or in files that
-                 carry a `tca-lint: relaxed-ok(<why>)` justification tag.
   explicit-bits  every explicit-enumeration entry point guards 2^n blowup
                  with tca::require_explicit_bits before allocating.
   span-required  every public engine entry emits a TCA_SPAN so exponential
@@ -41,9 +38,9 @@ cannot express because they are *project* conventions, not language rules
 Suppression policy (docs/static-analysis.md): a finding is suppressed by
 `// tca-lint: allow(<rule>) <reason>` on the same line or the line(s)
 immediately above; the reason is mandatory by convention and enforced in
-review. The relaxed-order rule is file-granular: one
-`// tca-lint: relaxed-ok(<why>)` tag covers the file, because a memory
--order argument is about the file's whole protocol, not one line.
+review. Weak memory orders are not a lint rule: tca_analyze.py's
+atomic-unregistered-order check requires a docs/memory_model.md row for
+every non-seq_cst site.
 
 Exit codes: 0 clean, 1 findings, 2 internal/self-test failure.
 
@@ -66,7 +63,6 @@ from typing import Callable, Iterable
 SRC_EXTENSIONS = {".hpp", ".cpp", ".h", ".cc", ".hpp.in"}
 
 ALLOW_TAG = re.compile(r"tca-lint:\s*allow\(([\w,-]+)\)")
-RELAXED_FILE_TAG = re.compile(r"tca-lint:\s*relaxed-ok\(")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,30 +270,6 @@ SPAN_ENTRIES = (
 )
 
 
-def _relaxed_order_check(src: SourceFile) -> list[Finding]:
-    if src.relpath.startswith("src/obs/"):
-        return []  # sharded metrics cells are relaxed by design
-    if not re.search(r"memory_order_relaxed", src.text):
-        return []
-    if RELAXED_FILE_TAG.search(src.text):
-        return []
-    out = []
-    lines = src.lines
-    for i, line in enumerate(lines, start=1):
-        if "memory_order_relaxed" in line and not _suppressed(
-            lines, i, "relaxed-order"
-        ):
-            out.append(
-                Finding(
-                    src.relpath, i, "relaxed-order",
-                    "memory_order_relaxed outside src/obs/ needs a "
-                    "file-level `tca-lint: relaxed-ok(<why>)` justification "
-                    "tag (docs/static-analysis.md)",
-                )
-            )
-    return out
-
-
 RULES: dict[str, Callable[[SourceFile], list[Finding]]] = {
     "raw-throw": _grep_rule(
         "raw-throw",
@@ -313,7 +285,6 @@ RULES: dict[str, Callable[[SourceFile], list[Finding]]] = {
         "(obs/log.hpp) instead",
         exempt_dirs=("src/obs/",),
     ),
-    "relaxed-order": _relaxed_order_check,
     "explicit-bits": _required_call_rule(
         "explicit-bits",
         EXPLICIT_BITS_ENTRIES,
@@ -530,17 +501,6 @@ _SELFTEST = {
             ("src/core/x.cpp",
              '// tca-lint: allow(raw-stdio) pre-main, sink unavailable\n'
              'void f() { std::fprintf(stderr, "x"); }\n'),
-        ],
-    },
-    "relaxed-order": {
-        "bad": [("src/core/x.cpp",
-                 "auto v = flag.load(std::memory_order_relaxed);\n")],
-        "good": [
-            ("src/obs/m.cpp",
-             "auto v = flag.load(std::memory_order_relaxed);\n"),
-            ("src/core/x.cpp",
-             "// tca-lint: relaxed-ok(monotonic one-shot flag)\n"
-             "auto v = flag.load(std::memory_order_relaxed);\n"),
         ],
     },
     "explicit-bits": {

@@ -4,8 +4,7 @@
 // A Configuration is the global state of a Boolean cellular automaton: one
 // bit per cell, packed 64 cells per word. Packing matters twice over:
 // phase-space enumeration touches millions of configurations, and the
-// word-parallel kernels (packed_kernels.hpp) update 64 cells per ALU op
-// (see the `ablation_packing` bench).
+// word-parallel kernel (packed_kernels.hpp) updates 64 cells per ALU op.
 //
 // Invariant: unused high bits of the last word are zero, so whole-word
 // equality, hashing and popcount need no masking.

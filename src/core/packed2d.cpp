@@ -6,37 +6,6 @@
 #include "runtime/error.hpp"
 
 namespace tca::core {
-namespace {
-
-/// out[c] = in[(c - 1 + cols) mod cols]  (west neighbor column).
-void row_shift_west(const std::uint64_t* in, std::uint64_t* out,
-                    std::size_t cols, std::size_t words) {
-  std::uint64_t carry = (in[(cols - 1) >> 6] >> ((cols - 1) & 63)) & 1u;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t word = in[w];
-    out[w] = (word << 1) | carry;
-    carry = word >> 63;
-  }
-  const std::size_t rem = cols & 63;
-  if (rem != 0) out[words - 1] &= (std::uint64_t{1} << rem) - 1;
-}
-
-/// out[c] = in[(c + 1) mod cols]  (east neighbor column).
-void row_shift_east(const std::uint64_t* in, std::uint64_t* out,
-                    std::size_t cols, std::size_t words) {
-  const std::uint64_t wrap = in[0] & 1u;
-  for (std::size_t w = 0; w + 1 < words; ++w) {
-    out[w] = (in[w] >> 1) | (in[w + 1] << 63);
-  }
-  out[words - 1] = in[words - 1] >> 1;
-  const std::size_t top_word = (cols - 1) >> 6;
-  const std::size_t top_bit = (cols - 1) & 63;
-  out[top_word] =
-      (out[top_word] & ~(std::uint64_t{1} << top_bit)) | (wrap << top_bit);
-}
-
-}  // namespace
-
 TorusGrid::TorusGrid(std::size_t rows, std::size_t cols)
     : rows_(rows),
       cols_(cols),
@@ -88,89 +57,6 @@ std::size_t TorusGrid::popcount() const noexcept {
     total += static_cast<std::size_t>(std::popcount(w));
   }
   return total;
-}
-
-void step_outer_totalistic_packed(const rules::OuterTotalisticRule& rule,
-                                  const TorusGrid& in, TorusGrid& out,
-                                  Packed2dScratch& scratch) {
-  const std::size_t rows = in.rows();
-  const std::size_t cols = in.cols();
-  const std::size_t words = in.words_per_row();
-  if (out.rows() != rows || out.cols() != cols) {
-    throw tca::InvalidArgumentError(
-        "step_outer_totalistic_packed: size mismatch",
-        tca::ErrorCode::kSizeMismatch);
-  }
-  if (&in == &out) {
-    throw tca::InvalidArgumentError(
-        "step_outer_totalistic_packed: in and out must differ");
-  }
-  if (rows < 3 || cols < 3) {
-    throw tca::InvalidArgumentError(
-        "step_outer_totalistic_packed: torus needs rows, cols >= 3");
-  }
-  if (rule.born.size() != 9 || rule.survive.size() != 9) {
-    throw tca::InvalidArgumentError(
-        "step_outer_totalistic_packed: Moore rules only (arity 9)");
-  }
-
-  // Whole-grid west/east shifted boards.
-  for (std::size_t r = 0; r < rows; ++r) {
-    row_shift_west(in.row(r), scratch.west.row(r), cols, words);
-    row_shift_east(in.row(r), scratch.east.row(r), cols, words);
-  }
-
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t up = (r + rows - 1) % rows;
-    const std::size_t down = (r + 1) % rows;
-    const std::uint64_t* boards[8] = {
-        scratch.west.row(up),   in.row(up),   scratch.east.row(up),
-        scratch.west.row(r),                  scratch.east.row(r),
-        scratch.west.row(down), in.row(down), scratch.east.row(down),
-    };
-    const std::uint64_t* self = in.row(r);
-    std::uint64_t* dst = out.row(r);
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t n0 = boards[0][w], n1 = boards[1][w],
-                          n2 = boards[2][w], n3 = boards[3][w],
-                          n4 = boards[4][w], n5 = boards[5][w],
-                          n6 = boards[6][w], n7 = boards[7][w];
-      // Bit-sliced count of the eight neighbor bits (b3 b2 b1 b0).
-      const std::uint64_t s1 = n0 ^ n1 ^ n2;
-      const std::uint64_t c1 = (n0 & n1) | (n1 & n2) | (n0 & n2);
-      const std::uint64_t s2 = n3 ^ n4 ^ n5;
-      const std::uint64_t c2 = (n3 & n4) | (n4 & n5) | (n3 & n5);
-      const std::uint64_t s3 = n6 ^ n7;
-      const std::uint64_t c3 = n6 & n7;
-      const std::uint64_t b0 = s1 ^ s2 ^ s3;
-      const std::uint64_t d1 = (s1 & s2) | (s2 & s3) | (s1 & s3);
-      const std::uint64_t e1 = c1 ^ c2 ^ c3;
-      const std::uint64_t f2 = (c1 & c2) | (c2 & c3) | (c1 & c3);
-      const std::uint64_t b1 = e1 ^ d1;
-      const std::uint64_t g2 = e1 & d1;
-      const std::uint64_t b2 = f2 ^ g2;
-      const std::uint64_t b3 = f2 & g2;
-
-      std::uint64_t born_mask = 0;
-      std::uint64_t survive_mask = 0;
-      for (std::uint32_t k = 0; k <= 8; ++k) {
-        if (rule.born[k] == 0 && rule.survive[k] == 0) continue;
-        const std::uint64_t eq =
-            ((k & 1u) ? b0 : ~b0) & ((k & 2u) ? b1 : ~b1) &
-            ((k & 4u) ? b2 : ~b2) & ((k & 8u) ? b3 : ~b3);
-        if (rule.born[k] != 0) born_mask |= eq;
-        if (rule.survive[k] != 0) survive_mask |= eq;
-      }
-      dst[w] = (~self[w] & born_mask) | (self[w] & survive_mask);
-    }
-  }
-  out.mask_padding();
-}
-
-void step_life_packed(const TorusGrid& in, TorusGrid& out,
-                      Packed2dScratch& scratch) {
-  static const rules::OuterTotalisticRule kLife = rules::game_of_life();
-  step_outer_totalistic_packed(kLife, in, out, scratch);
 }
 
 }  // namespace tca::core

@@ -1,19 +1,14 @@
 #pragma once
-// Word-parallel 2-D torus engine (DESIGN.md S3 extension).
+// Bit-packed 2-D torus grid (DESIGN.md S3 extension).
 //
-// 2-D Moore-neighborhood CA (Game of Life and the whole outer-totalistic
-// B/S family) on a torus, with each row bit-packed 64 cells per word. The
-// live-neighbor count of all 64 cells in a word is computed simultaneously
-// with a bit-sliced full-adder tree over the eight shifted neighbor
-// boards, then the B/S tables are applied as boolean plane logic — the
-// classic bitboard Life algorithm, cross-validated bit-for-bit against
-// the generic graph engine (tests/packed2d_test.cpp).
+// A rows x cols torus of Boolean cells, each row packed 64 cells per word,
+// convertible to and from the flat row-major Configuration that
+// graph::grid2d automata use. core/render.hpp draws it.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/configuration.hpp"
-#include "rules/rule.hpp"
 
 namespace tca::core {
 
@@ -64,24 +59,5 @@ class TorusGrid {
   std::size_t words_per_row_;
   std::vector<std::uint64_t> words_;
 };
-
-/// Reusable shifted-board storage for the 2-D kernels.
-struct Packed2dScratch {
-  TorusGrid west;
-  TorusGrid east;
-  explicit Packed2dScratch(std::size_t rows, std::size_t cols)
-      : west(rows, cols), east(rows, cols) {}
-};
-
-/// One synchronous step of an outer-totalistic Moore-neighborhood rule on
-/// the torus (requires rows >= 3 and cols >= 3; born/survive sized 9, i.e.
-/// built with life_like(..., 8)).
-void step_outer_totalistic_packed(const rules::OuterTotalisticRule& rule,
-                                  const TorusGrid& in, TorusGrid& out,
-                                  Packed2dScratch& scratch);
-
-/// Game of Life (B3/S23) step.
-void step_life_packed(const TorusGrid& in, TorusGrid& out,
-                      Packed2dScratch& scratch);
 
 }  // namespace tca::core

@@ -56,61 +56,6 @@ void ring_shift_down(const Configuration& in, Configuration& out) {
   out.mask_padding();
 }
 
-void step_ring_majority3_packed(const Configuration& in, Configuration& out,
-                                PackedScratch& scratch) {
-  require_same_ring(in, out, 3);
-  ring_shift_up(in, scratch.left);
-  ring_shift_down(in, scratch.right);
-  const auto l = scratch.left.words();
-  const auto s = in.words();
-  const auto r = scratch.right.words();
-  auto dst = out.words();
-  for (std::size_t w = 0; w < dst.size(); ++w) {
-    dst[w] = (l[w] & s[w]) | (s[w] & r[w]) | (l[w] & r[w]);
-  }
-  out.mask_padding();
-}
-
-void step_ring_majority5_packed(const Configuration& in, Configuration& out,
-                                PackedScratch& scratch) {
-  require_same_ring(in, out, 5);
-  ring_shift_up(in, scratch.left);
-  ring_shift_up(scratch.left, scratch.left2);
-  ring_shift_down(in, scratch.right);
-  ring_shift_down(scratch.right, scratch.right2);
-  const auto a = scratch.left2.words();
-  const auto b = scratch.left.words();
-  const auto c = in.words();
-  const auto d = scratch.right.words();
-  const auto e = scratch.right2.words();
-  auto dst = out.words();
-  for (std::size_t w = 0; w < dst.size(); ++w) {
-    // Carry-save addition of the five bit columns: count = s2 + 2*(c1+c2);
-    // majority (count >= 3) <=> both carries, or one carry plus the sum bit.
-    const std::uint64_t s1 = a[w] ^ b[w] ^ c[w];
-    const std::uint64_t c1 = (a[w] & b[w]) | (b[w] & c[w]) | (a[w] & c[w]);
-    const std::uint64_t s2 = s1 ^ d[w] ^ e[w];
-    const std::uint64_t c2 = (s1 & d[w]) | (d[w] & e[w]) | (s1 & e[w]);
-    dst[w] = (c1 & c2) | ((c1 ^ c2) & s2);
-  }
-  out.mask_padding();
-}
-
-void step_ring_parity3_packed(const Configuration& in, Configuration& out,
-                              PackedScratch& scratch) {
-  require_same_ring(in, out, 3);
-  ring_shift_up(in, scratch.left);
-  ring_shift_down(in, scratch.right);
-  const auto l = scratch.left.words();
-  const auto s = in.words();
-  const auto r = scratch.right.words();
-  auto dst = out.words();
-  for (std::size_t w = 0; w < dst.size(); ++w) {
-    dst[w] = l[w] ^ s[w] ^ r[w];
-  }
-  out.mask_padding();
-}
-
 void step_ring_table3_packed(const rules::TableRule& rule,
                              const Configuration& in, Configuration& out,
                              PackedScratch& scratch) {

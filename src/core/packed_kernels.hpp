@@ -1,18 +1,16 @@
 #pragma once
-// Word-parallel kernels for 1-D ring CA (DESIGN.md S3, decision 2).
+// Word-parallel kernel for 1-D ring CA (DESIGN.md S3, decision 2).
 //
-// For rings with radius-1/2 neighborhoods the synchronous step can process
-// 64 cells per ALU operation on the bit-packed configuration: the left/right
-// neighbor columns are whole-vector ring shifts, and the local rule becomes
-// a short boolean-network over the shifted vectors (majority via
-// carry-save adders, arbitrary radius-1 tables via a sum-of-products over
-// the 8 neighborhood patterns).
+// On a bit-packed ring configuration the synchronous step of any radius-1
+// rule processes 64 cells per ALU operation: the left/right neighbor
+// columns are whole-vector ring shifts, and an arbitrary radius-1 table
+// becomes a sum-of-products over the 8 neighborhood patterns
+// (examples/traffic_rule184 runs on it).
 //
-// These kernels are bit-for-bit equivalent to the generic engine
-// (cross-validated by tests/packed_kernels_test.cpp) and are what the
-// throughput bench and `ablation_packing` measure.
-//
-// All kernels implement CA WITH memory on a ring (the paper's default).
+// The kernel is bit-for-bit equivalent to the generic engine
+// (cross-validated by tests/packed_kernels_test.cpp and
+// tests/packed_boundary_test.cpp) and implements CA WITH memory on a ring
+// (the paper's default).
 
 #include <cstdint>
 #include <span>
@@ -32,26 +30,8 @@ void ring_shift_down(const Configuration& in, Configuration& out);
 struct PackedScratch {
   Configuration left;
   Configuration right;
-  Configuration left2;
-  Configuration right2;
-  explicit PackedScratch(std::size_t n)
-      : left(n), right(n), left2(n), right2(n) {}
+  explicit PackedScratch(std::size_t n) : left(n), right(n) {}
 };
-
-/// Synchronous step of the radius-1 MAJORITY (2-of-3) ring CA with memory:
-/// out_i = maj(x_{i-1}, x_i, x_{i+1}).
-void step_ring_majority3_packed(const Configuration& in, Configuration& out,
-                                PackedScratch& scratch);
-
-/// Synchronous step of the radius-2 MAJORITY (3-of-5) ring CA with memory.
-/// Requires n >= 5.
-void step_ring_majority5_packed(const Configuration& in, Configuration& out,
-                                PackedScratch& scratch);
-
-/// Synchronous step of the radius-1 XOR/parity ring CA with memory:
-/// out_i = x_{i-1} ^ x_i ^ x_{i+1}.
-void step_ring_parity3_packed(const Configuration& in, Configuration& out,
-                              PackedScratch& scratch);
 
 /// Synchronous step of an arbitrary radius-1 TableRule (e.g. a Wolfram
 /// elementary rule; inputs ordered left,self,right) on a ring with memory.

@@ -9,7 +9,7 @@
 // compile the SAME kernel template against WideWord<1>, <4>, or <8> under
 // the matching target flags, and the compiler's auto-vectorizer turns
 // these loops into one or two vector ops each (verified by the widening
-// speedup gate in bench/ablation_bitslice.cpp). This keeps the kernels a
+// gate in tests/perf_gates_test.cpp). This keeps the kernels a
 // single source of truth across scalar, AVX2, AVX-512, and NEON.
 //
 // Each W is instantiated in exactly one translation unit per build

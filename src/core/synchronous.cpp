@@ -17,8 +17,7 @@ void step_synchronous(const Automaton& a, const Configuration& in,
   if (&in == &out) {
     throw tca::InvalidArgumentError("step_synchronous: in and out must differ");
   }
-  // Step-granular metering (two relaxed adds per n-cell step; the
-  // perf_engine metrics-on/off ablation bounds the overhead at < 5%).
+  // Step-granular metering: two relaxed adds per n-cell step.
   static obs::Counter& steps = obs::counter("engine.synchronous.steps");
   static obs::Counter& cells = obs::counter("engine.synchronous.cells");
   steps.add();

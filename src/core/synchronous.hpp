@@ -4,8 +4,7 @@
 // All nodes read the time-t configuration and write time t+1 — the paper's
 // "classical, concurrent CA" where every node updates logically
 // simultaneously. Implemented with double buffering: reads go only to the
-// front buffer, writes only to the back buffer, so the threaded variant
-// (threaded.hpp) is race-free by construction.
+// front buffer, writes only to the back buffer.
 
 #include <cstdint>
 

@@ -4,8 +4,7 @@
 // The generic engine (synchronous.hpp) resolves the rule variant PER CELL
 // (a std::visit inside eval_node). For homogeneous automata the variant
 // can be resolved ONCE per step and the cell loop runs with the concrete
-// rule type, letting the compiler inline the rule body. The
-// `ablation_dispatch` bench quantifies the difference; tests verify
+// rule type, letting the compiler inline the rule body. Tests verify
 // bit-for-bit equivalence with the generic engine.
 
 #include "core/automaton.hpp"

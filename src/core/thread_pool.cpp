@@ -9,11 +9,6 @@
 #include "obs/metrics.hpp"
 #include "runtime/fault.hpp"
 
-// tca-lint: relaxed-ok(next_chunk_ is a pure work-stealing cursor — any
-// interleaving of fetch_add yields disjoint chunks; abandon_ uses
-// acquire/release so chunk writes are visible before the flag; the run
-// descriptor itself is published via mutex_, see thread_pool.hpp)
-
 namespace tca::core {
 namespace {
 

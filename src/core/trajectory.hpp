@@ -11,7 +11,6 @@
 //    memory; the default.
 //  * A hashing tracer that records every visited configuration — O(t+p)
 //    memory, used when the visited states themselves are wanted.
-// The `ablation_cycle_detection` bench compares the two.
 
 #include <cstdint>
 #include <functional>

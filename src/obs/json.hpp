@@ -5,7 +5,7 @@
 // manifests, Chrome trace timelines, JSONL log records — is assembled with
 // this one writer, so escaping and number formatting are uniform and there
 // is exactly one place to audit. Deliberately not a JSON *parser*: the
-// repo emits telemetry, scripts/check_bench.py (Python) consumes it.
+// repo emits telemetry, and Python tooling (perfbench/run.py, CI) reads it.
 //
 // Header-only so tca_obs has no dependency below it.
 

@@ -7,8 +7,8 @@
 // sanitizers — frozen into obs/build_info.hpp at CMake configure time),
 // what happened (status, per-check verdicts, per-benchmark timings,
 // StopReason, wall-clock), and the full metrics snapshot. Manifests are
-// the comparable, versioned result artifacts scripts/check_bench.py
-// diffs for perf regressions — no stdout scraping.
+// the comparable, versioned result artifacts tools read instead of
+// scraping stdout.
 //
 // Schema versioning policy: kManifestSchemaVersion bumps on any change
 // that would break a reader (field removal or retyping); adding optional
@@ -33,7 +33,7 @@ struct ManifestCheck {
   std::string detail;
 };
 
-/// One google-benchmark (or hand-timed) measurement.
+/// One timed measurement (name, value, unit, rate, iterations).
 struct BenchmarkTiming {
   std::string name;
   double real_time = 0;          ///< per-iteration, in `time_unit`

@@ -13,8 +13,7 @@
 //    under the `tsan` preset);
 //  * cheap when hot — Counter::add is one relaxed load (the global enable
 //    flag) plus one relaxed fetch_add on a per-thread shard, so concurrent
-//    writers do not bounce a shared cache line; the perf_engine
-//    metrics-on/off ablation bounds the overhead at < 5%;
+//    writers do not bounce a shared cache line;
 //  * cheap when disabled — set_metrics_enabled(false) reduces every
 //    charge to a single relaxed load-and-branch.
 //

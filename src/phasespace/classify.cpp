@@ -1,13 +1,5 @@
 #include "phasespace/classify.hpp"
 
-// tca-lint: relaxed-ok(classify's five phases are separated by ThreadPool
-// join barriers. The image-bitmap fetch_or, the image in-degree counters
-// and the basin tallies are only read after the barrier that ends their
-// phase; the peel's winner is decided by a single compare-exchange on the
-// counter itself. The one cross-thread publication inside a phase — a
-// transient's attractor label — travels release/acquire through its depth
-// word. See docs/memory_model.md.)
-
 #include <algorithm>
 #include <atomic>
 #include <bit>

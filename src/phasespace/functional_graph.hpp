@@ -152,7 +152,7 @@ class BatchCodeStepper {
   /// phase-space map of FunctionalGraph::sweep).
   BatchCodeStepper(const core::Automaton& a, std::vector<core::NodeId> order);
 
-  /// Forced-tier overloads (differential tests, the ablation bench):
+  /// Forced-tier overloads (differential tests, the perf gates):
   /// bypass the TCA_BATCH_ISA dispatch and use exactly `isa`. Throw when
   /// the tier is unavailable on this host/build.
   BatchCodeStepper(const core::Automaton& a, core::BatchIsa isa);

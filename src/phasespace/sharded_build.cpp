@@ -1,12 +1,5 @@
 #include "phasespace/sharded_build.hpp"
 
-// tca-lint: relaxed-ok(claim cursors and the abandon flag are control-flow
-// only — a stale read costs at most one wasted claim probe or one extra
-// shard before stopping. Every byte of phase-space data and every
-// per-worker tally is published to the caller by the thread-join barrier,
-// and errors travel under error_mu; no reader relies on these atomics for
-// ordering. The full argument lives in docs/memory_model.md.)
-
 #include <pthread.h>
 #include <sched.h>
 

@@ -1,10 +1,5 @@
 #include "phasespace/successor_store.hpp"
 
-// tca-lint: relaxed-ok(packed boundary words are merged with relaxed CAS:
-// writers own disjoint bit ranges, the pool/thread join barrier is the
-// only publication edge readers rely on, and the CAS loop itself only
-// needs atomicity, not ordering — see docs/memory_model.md)
-
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -34,10 +29,12 @@ namespace {
 /// Max entries one for_each_range / read-back block decodes at a time.
 constexpr std::size_t kStreamBlock = 4096;
 
+/// Value mask for `bits`-bit entries. Zero bits is the empty automaton:
+/// one entry whose only value is 0, stored in no payload bits.
 [[nodiscard]] std::uint64_t mask_for(std::uint32_t bits) {
-  if (bits == 0 || bits > 63) {
+  if (bits > 63) {
     throw tca::InvalidArgumentError(
-        "SuccessorStore: entry width must be in [1, 63] bits, got " +
+        "SuccessorStore: entry width must be in [0, 63] bits, got " +
         std::to_string(bits));
   }
   return (std::uint64_t{1} << bits) - 1;

@@ -8,8 +8,7 @@
 //
 // Rules are a closed std::variant so the simulation engines can
 // monomorphize their inner loops with std::visit instead of paying a
-// virtual call per cell per step (see DESIGN.md decision 1 and the
-// `ablation_dispatch` bench).
+// virtual call per cell per step (see DESIGN.md decision 1).
 //
 // Input-order conventions:
 //  * Symmetric rules (Majority, KOfN, Symmetric, Parity) ignore input order.

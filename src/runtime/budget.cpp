@@ -2,11 +2,6 @@
 
 #include "runtime/fault.hpp"
 
-// tca-lint: relaxed-ok(counters are statistical accounting shared by
-// workers that already synchronize through the ThreadPool barrier; the
-// stop_ latch is a monotonic one-shot flag — observing it late only
-// delays a cooperative stop by one poll, it cannot un-stop a run)
-
 namespace tca::runtime {
 
 const char* stop_reason_name(StopReason reason) noexcept {

@@ -14,10 +14,6 @@
 // workers of a ThreadPool charge the same control. The first limit to trip
 // is latched; later notes keep returning the same StopReason.
 
-// tca-lint: relaxed-ok(the cancel flag and budget counters are sticky
-// monotonic signals polled cooperatively; no payload data is published
-// through them, so no acquire/release pairing is needed)
-
 #include <atomic>
 #include <chrono>
 #include <cstdint>

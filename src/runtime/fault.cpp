@@ -5,10 +5,6 @@
 
 #include "runtime/error.hpp"
 
-// tca-lint: relaxed-ok(countdown counters use CAS loops whose
-// exactly-once firing is order-independent; g_active is the only
-// publication edge and carries acquire/release)
-
 namespace tca::runtime {
 namespace {
 

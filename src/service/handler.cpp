@@ -1,10 +1,5 @@
 #include "service/handler.hpp"
 
-// tca-lint: relaxed-ok(the active-request counter is a monotone in/out
-// tally polled for equality with zero after the server joins its worker
-// threads; no payload data is published through it, so no
-// acquire/release pairing is needed)
-
 #include <chrono>
 #include <exception>
 

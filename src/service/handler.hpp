@@ -24,11 +24,6 @@
 // plus the cache/coalescer/engine families documented in their headers.
 // Latency lands in service.request_us.
 
-// tca-lint: relaxed-ok(the active-request counter is a monotone in/out
-// tally polled for equality with zero after worker threads are joined; no
-// payload data is published through it, so no acquire/release pairing is
-// needed)
-
 #include <atomic>
 #include <cstdint>
 #include <memory>

@@ -9,7 +9,7 @@
 // engine.
 //
 // Shutdown discipline (the "zero leaked requests" guarantee the
-// service-smoke CI job checks): stop() closes the listeners, cancels the
+// service_smoke test checks): stop() closes the listeners, cancels the
 // server-wide CancelToken (in-flight engine work stops at its next
 // cooperative check and is reported truncated), shuts down every open
 // connection socket so blocked reads return, then joins all threads.

@@ -5,7 +5,7 @@
 // content-addressed caching, request coalescing, and supervised
 // checkpoint-backed computation. Runs until SIGTERM/SIGINT, then shuts
 // down gracefully and writes a schema-versioned run manifest whose
-// counters the service-smoke CI job diffs against its committed baseline.
+// clean-shutdown check the service_smoke test requires to PASS.
 //
 // Usage:
 //   tcad [--socket PATH] [--tcp PORT | --tcp-ephemeral] [--cache-dir DIR]

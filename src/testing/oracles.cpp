@@ -20,8 +20,6 @@
 #include "core/sequential.hpp"
 #include "core/synchronous.hpp"
 #include "core/synchronous_fast.hpp"
-#include "core/thread_pool.hpp"
-#include "core/threaded.hpp"
 #include "graph/properties.hpp"
 #include "phasespace/classify.hpp"
 #include "phasespace/functional_graph.hpp"
@@ -40,20 +38,13 @@ namespace {
 using core::Automaton;
 using core::Configuration;
 
-/// Shared pool for the threaded engine path; sized past one worker even on
-/// single-core machines so the fork-join handoff is actually exercised.
-core::ThreadPool& shared_pool() {
-  static core::ThreadPool pool(3);
-  return pool;
-}
-
 /// Largest n whose phase space (2^n states) we enumerate explicitly.
 constexpr std::uint32_t kExplicitBits = 12;
 
 PropertyResult check_engines_agree(const TestCase& tc) {
   const auto a = tc.automaton();
   Configuration current = tc.configuration();
-  Configuration generic(a.size()), fast(a.size()), threaded(a.size());
+  Configuration generic(a.size()), fast(a.size());
   for (std::uint32_t t = 0; t < tc.steps; ++t) {
     core::step_synchronous(a, current, generic);
     core::step_synchronous_fast(a, current, fast);
@@ -61,13 +52,6 @@ PropertyResult check_engines_agree(const TestCase& tc) {
       return PropertyResult::fail(
           "step_synchronous_fast diverges from step_synchronous at step " +
           std::to_string(t) + ": " + fast.to_string() + " vs " +
-          generic.to_string());
-    }
-    core::step_synchronous_threaded(a, current, threaded, shared_pool());
-    if (threaded != generic) {
-      return PropertyResult::fail(
-          "step_synchronous_threaded diverges from step_synchronous at step " +
-          std::to_string(t) + ": " + threaded.to_string() + " vs " +
           generic.to_string());
     }
     Configuration block = current;
@@ -706,8 +690,8 @@ PropertyResult check_store_backend_agree(const TestCase& tc) {
   namespace fs = std::filesystem;
   const fs::path dir =
       fs::temp_directory_path() /
-      ("tca-store-oracle-" + std::to_string(tc.seed) + "-" +
-       std::to_string(tc.n));
+      ("tca-store-oracle-" + std::to_string(::getpid()) + "-" +
+       std::to_string(tc.seed) + "-" + std::to_string(tc.n));
   std::error_code ec;
   fs::remove_all(dir, ec);
   const PropertyResult r =

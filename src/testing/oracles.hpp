@@ -6,7 +6,7 @@
 // registry covers two kinds of promises:
 //
 //  * cross-engine equalities — every synchronous engine path
-//    (generic / monomorphized / threaded / trivial-block block-sequential)
+//    (generic / monomorphized / trivial-block block-sequential)
 //    computes bit-for-bit the same global map, every sequential path
 //    (apply_sequence / singleton blocks / update_node chain) agrees, and
 //    every available SIMD tier of the wide batch engine matches the

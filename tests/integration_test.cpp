@@ -14,8 +14,6 @@
 #include "core/schedule.hpp"
 #include "core/sequential.hpp"
 #include "core/synchronous.hpp"
-#include "core/thread_pool.hpp"
-#include "core/threaded.hpp"
 #include "core/trajectory.hpp"
 #include "graph/builders.hpp"
 #include "graph/properties.hpp"
@@ -248,7 +246,7 @@ TEST(BipartiteExtension, ThresholdCAOnBipartiteSpacesHaveTwoCycles) {
 TEST(EngineCrossValidation, AllSynchronousImplementationsAgree) {
   const std::size_t n = 193;
   const auto a = majority_ring(n);
-  core::ThreadPool pool(4);
+  const rules::TableRule majority_table = rules::wolfram(232);
   core::PackedScratch scratch(n);
   std::mt19937_64 rng(77);
   for (int trial = 0; trial < 10; ++trial) {
@@ -256,13 +254,11 @@ TEST(EngineCrossValidation, AllSynchronousImplementationsAgree) {
     for (std::size_t i = 0; i < n; ++i) {
       c.set(i, static_cast<core::State>(rng() & 1u));
     }
-    Configuration generic(n), threaded(n), packed(n);
+    Configuration generic(n), packed(n);
     core::step_synchronous(a, c, generic);
-    core::step_synchronous_threaded(a, c, threaded, pool);
-    core::step_ring_majority3_packed(c, packed, scratch);
+    core::step_ring_table3_packed(majority_table, c, packed, scratch);
     Configuration block = c;
     core::step_block_sequential(a, block, core::BlockOrder::synchronous(n));
-    EXPECT_EQ(generic, threaded);
     EXPECT_EQ(generic, packed);
     EXPECT_EQ(generic, block);
   }

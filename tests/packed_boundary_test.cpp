@@ -1,10 +1,9 @@
-// Word-alignment boundary contract for the bit-packed engines: the packed
-// kernels (src/core/packed_kernels.hpp) and the threaded engine
-// (src/core/threaded.hpp, 64-cell chunk alignment) must be bit-for-bit
-// equal to the scalar step_synchronous at sizes straddling the 64-cell
-// word boundary: n in {1, 63, 64, 65, 127, 128}. (The packed ring kernels
-// require n >= 3 — radius-1 ring — and n >= 5 for radius 2, so n=1 is
-// covered by the threaded engine and the shift primitives only.)
+// Word-alignment boundary contract for the bit-packed ring kernel
+// (src/core/packed_kernels.hpp): the ring shifts and the radius-1 table
+// kernel must be bit-for-bit equal to the scalar step_synchronous at sizes
+// straddling the 64-cell word boundary: n in {1, 63, 64, 65, 127, 128}.
+// (The table kernel requires a radius-1 ring, n >= 3, so n = 1 is covered
+// by the shift primitives only.)
 
 #include <gtest/gtest.h>
 
@@ -13,9 +12,6 @@
 #include "core/automaton.hpp"
 #include "core/packed_kernels.hpp"
 #include "core/synchronous.hpp"
-#include "core/thread_pool.hpp"
-#include "core/threaded.hpp"
-#include "graph/builders.hpp"
 #include "rules/rule.hpp"
 
 namespace tca::core {
@@ -34,29 +30,6 @@ Configuration random_config(std::size_t n, std::uint64_t seed) {
 
 class PackedBoundary : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(PackedBoundary, ThreadedMatchesScalarAcrossWordBoundaries) {
-  const std::size_t n = GetParam();
-  // Ring substrate when it exists; a single self-input cell for n < 3.
-  const auto a = n >= 3
-                     ? Automaton::line(n, 1, Boundary::kRing,
-                                       rules::majority(), Memory::kWith)
-                     : Automaton::from_graph(graph::path(
-                           static_cast<graph::NodeId>(n)),
-                           rules::majority(), Memory::kWith);
-  for (unsigned threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    Configuration current = random_config(n, 0x5EED0 + n);
-    Configuration scalar(n), threaded(n);
-    for (int step = 0; step < 8; ++step) {
-      step_synchronous(a, current, scalar);
-      step_synchronous_threaded(a, current, threaded, pool);
-      ASSERT_EQ(scalar, threaded)
-          << "n=" << n << " threads=" << threads << " step=" << step;
-      current = scalar;
-    }
-  }
-}
-
 TEST_P(PackedBoundary, RingShiftsInvertAcrossWordBoundaries) {
   const std::size_t n = GetParam();
   const auto c = random_config(n, 0xF00D0 + n);
@@ -71,52 +44,33 @@ TEST_P(PackedBoundary, RingShiftsInvertAcrossWordBoundaries) {
   }
 }
 
-TEST_P(PackedBoundary, Majority3KernelMatchesScalar) {
-  const std::size_t n = GetParam();
-  if (n < 3) GTEST_SKIP() << "radius-1 ring needs n >= 3";
-  const auto a = Automaton::line(n, 1, Boundary::kRing, rules::majority(),
-                                 Memory::kWith);
+/// Eight steps of the table kernel on Wolfram `code` against the generic
+/// engine running the threshold rule `rule` it encodes.
+void expect_table_kernel_matches(std::uint32_t code, const rules::Rule& rule,
+                                 std::size_t n, std::uint64_t seed) {
+  const auto a = Automaton::line(n, 1, Boundary::kRing, rule, Memory::kWith);
+  const rules::TableRule table = rules::wolfram(code);
   PackedScratch scratch(n);
-  Configuration current = random_config(n, 0xAB + n);
+  Configuration current = random_config(n, seed);
   Configuration scalar(n), packed(n);
   for (int step = 0; step < 8; ++step) {
     step_synchronous(a, current, scalar);
-    step_ring_majority3_packed(current, packed, scratch);
+    step_ring_table3_packed(table, current, packed, scratch);
     ASSERT_EQ(scalar, packed) << "n=" << n << " step=" << step;
     current = scalar;
   }
 }
 
-TEST_P(PackedBoundary, Majority5KernelMatchesScalar) {
+TEST_P(PackedBoundary, Majority3KernelMatchesScalar) {
   const std::size_t n = GetParam();
-  if (n < 5) GTEST_SKIP() << "radius-2 ring needs n >= 5";
-  const auto a = Automaton::line(n, 2, Boundary::kRing,
-                                 rules::majority_k_of(5), Memory::kWith);
-  PackedScratch scratch(n);
-  Configuration current = random_config(n, 0xCD + n);
-  Configuration scalar(n), packed(n);
-  for (int step = 0; step < 8; ++step) {
-    step_synchronous(a, current, scalar);
-    step_ring_majority5_packed(current, packed, scratch);
-    ASSERT_EQ(scalar, packed) << "n=" << n << " step=" << step;
-    current = scalar;
-  }
+  if (n < 3) GTEST_SKIP() << "radius-1 ring needs n >= 3";
+  expect_table_kernel_matches(232, rules::majority(), n, 0xAB + n);
 }
 
 TEST_P(PackedBoundary, ParityKernelMatchesScalar) {
   const std::size_t n = GetParam();
   if (n < 3) GTEST_SKIP() << "radius-1 ring needs n >= 3";
-  const auto a = Automaton::line(n, 1, Boundary::kRing, rules::parity(),
-                                 Memory::kWith);
-  PackedScratch scratch(n);
-  Configuration current = random_config(n, 0xEF + n);
-  Configuration scalar(n), packed(n);
-  for (int step = 0; step < 8; ++step) {
-    step_synchronous(a, current, scalar);
-    step_ring_parity3_packed(current, packed, scratch);
-    ASSERT_EQ(scalar, packed) << "n=" << n << " step=" << step;
-    current = scalar;
-  }
+  expect_table_kernel_matches(150, rules::parity(), n, 0xEF + n);
 }
 
 TEST_P(PackedBoundary, Table3KernelMatchesScalarForWolframRules) {

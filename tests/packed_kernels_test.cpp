@@ -1,7 +1,8 @@
-// Cross-validation of the word-parallel ring kernels against the generic
-// engine (src/core/packed_kernels.hpp) — bit-for-bit equivalence over
-// random configurations and awkward ring sizes (word boundaries, partial
-// last words).
+// Cross-validation of the word-parallel radius-1 ring kernel against the
+// generic engine (src/core/packed_kernels.hpp) — bit-for-bit equivalence
+// over random configurations and awkward ring sizes (word boundaries,
+// partial last words), on the majority and parity tables and on every
+// Wolfram elementary rule.
 
 #include <gtest/gtest.h>
 
@@ -60,54 +61,34 @@ TEST(RingShift, CrossesWordBoundary) {
   EXPECT_EQ(out.popcount(), 2u);
 }
 
-// Parameterized sweep over ring sizes including word-boundary cases.
+// Parameterized sweep over ring sizes including word-boundary cases: the
+// table kernel on Wolfram 232 (2-of-3 majority) and 150 (3-input parity)
+// against the generic engine running the threshold rules themselves.
 class PackedKernelEquivalence : public ::testing::TestWithParam<std::size_t> {
  protected:
-  static Automaton majority_ring(std::size_t n, std::uint32_t r) {
-    return Automaton::line(n, r, Boundary::kRing, rules::majority(),
-                           Memory::kWith);
+  static void expect_table_matches(std::uint32_t code, const rules::Rule& rule,
+                                   std::size_t n, std::uint64_t seed) {
+    const auto a = Automaton::line(n, 1, Boundary::kRing, rule, Memory::kWith);
+    const rules::TableRule table = rules::wolfram(code);
+    std::mt19937_64 rng(seed);
+    PackedScratch scratch(n);
+    for (int trial = 0; trial < 16; ++trial) {
+      const auto c = random_config(n, rng);
+      Configuration packed(n);
+      step_ring_table3_packed(table, c, packed, scratch);
+      EXPECT_EQ(packed, step_synchronous(a, c)) << "n=" << n;
+    }
   }
 };
 
 TEST_P(PackedKernelEquivalence, Majority3MatchesGenericEngine) {
   const std::size_t n = GetParam();
-  const auto a = majority_ring(n, 1);
-  std::mt19937_64 rng(n);
-  PackedScratch scratch(n);
-  for (int trial = 0; trial < 16; ++trial) {
-    const auto c = random_config(n, rng);
-    Configuration packed(n);
-    step_ring_majority3_packed(c, packed, scratch);
-    EXPECT_EQ(packed, step_synchronous(a, c)) << "n=" << n;
-  }
+  expect_table_matches(232, rules::majority(), n, n);
 }
 
 TEST_P(PackedKernelEquivalence, Parity3MatchesGenericEngine) {
   const std::size_t n = GetParam();
-  const auto a = Automaton::line(n, 1, Boundary::kRing, rules::parity(),
-                                 Memory::kWith);
-  std::mt19937_64 rng(n * 7);
-  PackedScratch scratch(n);
-  for (int trial = 0; trial < 16; ++trial) {
-    const auto c = random_config(n, rng);
-    Configuration packed(n);
-    step_ring_parity3_packed(c, packed, scratch);
-    EXPECT_EQ(packed, step_synchronous(a, c)) << "n=" << n;
-  }
-}
-
-TEST_P(PackedKernelEquivalence, Majority5MatchesGenericEngine) {
-  const std::size_t n = GetParam();
-  if (n < 5) GTEST_SKIP() << "radius-2 ring needs n >= 5";
-  const auto a = majority_ring(n, 2);
-  std::mt19937_64 rng(n * 13);
-  PackedScratch scratch(n);
-  for (int trial = 0; trial < 16; ++trial) {
-    const auto c = random_config(n, rng);
-    Configuration packed(n);
-    step_ring_majority5_packed(c, packed, scratch);
-    EXPECT_EQ(packed, step_synchronous(a, c)) << "n=" << n;
-  }
+  expect_table_matches(150, rules::parity(), n, n * 7);
 }
 
 INSTANTIATE_TEST_SUITE_P(RingSizes, PackedKernelEquivalence,
@@ -140,21 +121,21 @@ INSTANTIATE_TEST_SUITE_P(AllElementaryRules, WolframPackedEquivalence,
 TEST(PackedKernels, RejectsMismatchedSizes) {
   Configuration in(10), out(11);
   PackedScratch scratch(10);
-  EXPECT_THROW(step_ring_majority3_packed(in, out, scratch),
+  EXPECT_THROW(step_ring_table3_packed(rules::wolfram(232), in, out, scratch),
                std::invalid_argument);
 }
 
 TEST(PackedKernels, RejectsAliasedBuffers) {
   Configuration c(10);
   PackedScratch scratch(10);
-  EXPECT_THROW(step_ring_majority3_packed(c, c, scratch),
+  EXPECT_THROW(step_ring_table3_packed(rules::wolfram(232), c, c, scratch),
                std::invalid_argument);
 }
 
 TEST(PackedKernels, RejectsTooSmallRing) {
-  Configuration in(4), out(4);
-  PackedScratch scratch(4);
-  EXPECT_THROW(step_ring_majority5_packed(in, out, scratch),
+  Configuration in(2), out(2);
+  PackedScratch scratch(2);
+  EXPECT_THROW(step_ring_table3_packed(rules::wolfram(232), in, out, scratch),
                std::invalid_argument);
 }
 

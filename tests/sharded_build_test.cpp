@@ -17,7 +17,9 @@
 
 #include "core/automaton.hpp"
 #include "graph/builders.hpp"
+#include "obs/metrics.hpp"
 #include "phasespace/classify.hpp"
+#include "phasespace/preimage.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/error.hpp"
 #include "runtime/fault.hpp"
@@ -65,9 +67,8 @@ core::Automaton majority_path(std::uint32_t n) {
 
 // The facades and every small build run on this builder, so builds
 // below one shard — and ragged shard splits of them — must match the
-// scalar reference entry for entry on every RAM backend, in both modes.
-// (A packed store needs entries of at least one bit, so the empty
-// automaton is built flat only.)
+// scalar reference entry for entry on every backend, in both modes,
+// including the empty automaton (one 0-bit entry).
 TEST(ShardedBuild, SmallNBuildsMatchTheScalarReference) {
   for (const std::uint32_t n : {0u, 1u, 5u, 9u, 10u, 16u}) {
     const auto a = majority_path(n);
@@ -86,21 +87,29 @@ TEST(ShardedBuild, SmallNBuildsMatchTheScalarReference) {
     EXPECT_EQ(FunctionalGraph::synchronous(a).successors(), sync_want);
     EXPECT_EQ(FunctionalGraph::sweep(a, order).successors(), sweep_want);
     for (const unsigned workers : {1u, 3u}) {
-      for (const StoreKind kind : {StoreKind::kFlat, StoreKind::kPacked}) {
-        if (n == 0 && kind == StoreKind::kPacked) continue;
+      for (const StoreKind kind :
+           {StoreKind::kFlat, StoreKind::kPacked, StoreKind::kDisk}) {
         for (const StateCode shard : {StateCode{1} << 16, StateCode{100}}) {
           SCOPED_TRACE("workers=" + std::to_string(workers) + " kind=" +
                        store_kind_name(kind) +
                        " shard=" + std::to_string(shard));
+          TempDir sync_dir("small-sync");
+          TempDir sweep_dir("small-sweep");
           ShardedBuildOptions options;
           options.store = kind;
           options.workers = workers;
           options.shard_states = shard;
+          if (kind == StoreKind::kDisk) {
+            options.disk_dir = sync_dir.path().string();
+          }
           runtime::RunControl sync_control;
           const ShardedBuild sync =
               build_synchronous_sharded(a, options, sync_control);
           ASSERT_TRUE(sync.complete());
           EXPECT_EQ(table_of(*sync.store), sync_want);
+          if (kind == StoreKind::kDisk) {
+            options.disk_dir = sweep_dir.path().string();
+          }
           runtime::RunControl sweep_control;
           const ShardedBuild sweep =
               build_sweep_sharded(a, order, options, sweep_control);
@@ -110,6 +119,55 @@ TEST(ShardedBuild, SmallNBuildsMatchTheScalarReference) {
       }
     }
   }
+}
+
+// Single-worker n = 20 builds of the Lemma-1 ring on every backend pin
+// the exact storage tallies: one run of 2^20 states and 16 shards of
+// 2^16 states per build, all claimed and none stolen, n bits per packed entry, n * 2^n / 8 spilled
+// bytes, and one table and one Garden-of-Eden count across backends.
+TEST(ShardedBuild, SingleWorkerStorageCountersAreExact) {
+  constexpr std::uint32_t n = 20;
+  constexpr std::uint64_t states = std::uint64_t{1} << n;
+  const auto a = majority_ring(n);
+  TempDir dir("counters");
+  obs::Counter& runs = obs::counter("phasespace.build.runs");
+  obs::Counter& built = obs::counter("phasespace.build.states");
+  obs::Counter& claimed = obs::counter("phasespace.shard.claimed");
+  obs::Counter& stolen = obs::counter("phasespace.shard.stolen");
+  obs::Counter& packed_bits = obs::counter("store.packed_bits");
+  obs::Counter& spill_bytes = obs::counter("store.spill_bytes");
+  std::vector<std::vector<StateCode>> tables;
+  for (const StoreKind kind :
+       {StoreKind::kFlat, StoreKind::kPacked, StoreKind::kDisk}) {
+    SCOPED_TRACE(store_kind_name(kind));
+    const std::uint64_t runs0 = runs.value();
+    const std::uint64_t built0 = built.value();
+    const std::uint64_t claimed0 = claimed.value();
+    const std::uint64_t stolen0 = stolen.value();
+    const std::uint64_t packed0 = packed_bits.value();
+    const std::uint64_t spill0 = spill_bytes.value();
+    ShardedBuildOptions options;
+    options.store = kind;
+    options.workers = 1;
+    if (kind == StoreKind::kDisk) options.disk_dir = dir.path().string();
+    runtime::RunControl control{runtime::RunBudget{}};
+    const ShardedBuild out = build_synchronous_sharded(a, options, control);
+    ASSERT_TRUE(out.complete());
+    EXPECT_EQ(runs.value() - runs0, 1u);
+    EXPECT_EQ(built.value() - built0, states);
+    EXPECT_EQ(claimed.value() - claimed0, 16u);
+    EXPECT_EQ(stolen.value() - stolen0, 0u);
+    EXPECT_EQ(packed_bits.value() - packed0,
+              kind == StoreKind::kPacked ? n * states : 0u);
+    EXPECT_EQ(spill_bytes.value() - spill0,
+              kind == StoreKind::kDisk ? n * states / 8 : 0u);
+    runtime::RunControl census_control{runtime::RunBudget{}};
+    EXPECT_EQ(count_gardens_of_eden(*out.store, census_control).gardens,
+              941238u);
+    tables.push_back(table_of(*out.store));
+  }
+  EXPECT_EQ(tables[1], tables[0]);
+  EXPECT_EQ(tables[2], tables[0]);
 }
 
 TEST(NumaTopology, ProbeAlwaysYieldsAtLeastOneGroupWithCpus) {

@@ -2,7 +2,7 @@
 // (core/batch_kernels_{scalar,avx2,avx512,neon}.cpp, core/batch_isa.hpp):
 // every ISA tier available on this host must be lane-exact with the
 // scalar reference engines — step_synchronous / apply_sequence, the
-// 64-lane bit-slice BatchStepper, and the packed ring kernels — across
+// 64-lane bit-slice BatchStepper, and the packed ring table kernel — across
 // rule families (threshold r=1/2, parity, outer-totalistic, minterms)
 // and ring sizes straddling every word and lane boundary. Also covers the
 // wide transposes (inverses, LSB-first convention, ragged zero-padding)
@@ -280,11 +280,11 @@ TEST(SimdKernels, EveryTierMatchesPackedRingKernels) {
   struct PackedCase {
     const char* label;
     rules::Rule rule;
-    void (*kernel)(const Configuration&, Configuration&, core::PackedScratch&);
+    rules::TableRule table;  ///< the same rule as a Wolfram table
   };
   const PackedCase cases[] = {
-      {"majority3", rules::majority(), core::step_ring_majority3_packed},
-      {"parity3", rules::parity(), core::step_ring_parity3_packed},
+      {"majority3", rules::majority(), rules::wolfram(232)},
+      {"parity3", rules::parity(), rules::wolfram(150)},
   };
   for (const auto& pc : cases) {
     for (const std::size_t n : {63u, 64u, 65u, 127u, 128u, 257u}) {
@@ -296,7 +296,7 @@ TEST(SimdKernels, EveryTierMatchesPackedRingKernels) {
       std::vector<Configuration> want;
       for (const auto& c : in) {
         Configuration out(n);
-        pc.kernel(c, out, scratch);
+        core::step_ring_table3_packed(pc.table, c, out, scratch);
         want.push_back(out);
       }
       for (const auto isa : tiers) {

@@ -1,5 +1,6 @@
-// Edge-case, stress, and FAILURE-PATH coverage for core::ThreadPool
-// (src/core/thread_pool.hpp): empty ranges, ranges smaller than the
+// Contract, edge-case, stress, and FAILURE-PATH coverage for
+// core::ThreadPool (src/core/thread_pool.hpp): size, exact range cover,
+// empty ranges, ranges smaller than the
 // alignment unit, alignment larger than the range, pool size 1 vs
 // hardware_concurrency, a repeated fork-join stress loop — plus the
 // robustness paths (docs/robustness.md): chunk exceptions rethrown at the
@@ -16,17 +17,63 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/automaton.hpp"
-#include "core/synchronous.hpp"
 #include "core/thread_pool.hpp"
-#include "core/threaded.hpp"
-#include "graph/builders.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/error.hpp"
 #include "runtime/fault.hpp"
 
 namespace tca::core {
 namespace {
+
+// --- basic contract -------------------------------------------------------
+
+TEST(ThreadPool, SizeCountsCallingThread) {
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
+  ThreadPool single(1);
+  EXPECT_EQ(single.size(), 1u);
+}
+
+TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(0, 1000, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(ThreadPool, AlignmentRespected) {
+  ThreadPool pool(3);
+  std::vector<std::pair<std::size_t, std::size_t>> chunks(3);
+  std::atomic<std::size_t> idx{0};
+  pool.parallel_for(0, 100, 64, [&](std::size_t b, std::size_t e) {
+    chunks[idx.fetch_add(1)] = {b, e};
+  });
+  for (std::size_t i = 0; i < idx.load(); ++i) {
+    EXPECT_EQ(chunks[i].first % 64, 0u) << "chunk " << i;
+  }
+}
+
+TEST(ThreadPool, EmptyRangeIsNoop) {
+  ThreadPool pool(2);
+  bool called = false;
+  pool.parallel_for(5, 5, 1, [&](std::size_t, std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, ReusableAcrossManyInvocations) {
+  ThreadPool pool(4);
+  std::atomic<std::size_t> total{0};
+  for (int round = 0; round < 100; ++round) {
+    pool.parallel_for(0, 64, 1, [&](std::size_t b, std::size_t e) {
+      total.fetch_add(e - b);
+    });
+  }
+  EXPECT_EQ(total.load(), 6400u);
+}
 
 TEST(ThreadPoolEdge, EmptyRangeNeverInvokesChunkFn) {
   ThreadPool pool(4);
@@ -121,24 +168,6 @@ TEST(ThreadPoolStress, RepeatedForkJoin) {
     });
   }
   EXPECT_EQ(sum.load(), 256L * kRounds);
-}
-
-TEST(ThreadPoolStress, RepeatedThreadedStepsMatchScalar) {
-  // Fork-join stress through the real engine: many threaded steps on a
-  // ring spanning several 64-cell words, checked against the scalar
-  // engine every step.
-  ThreadPool pool(4);
-  const auto a = Automaton::from_graph(graph::ring(200), rules::majority(),
-                                       Memory::kWith);
-  Configuration current(a.size());
-  for (std::size_t i = 0; i < current.size(); i += 3) current.set(i, 1);
-  Configuration scalar(a.size()), threaded(a.size());
-  for (int step = 0; step < 100; ++step) {
-    step_synchronous(a, current, scalar);
-    step_synchronous_threaded(a, current, threaded, pool);
-    ASSERT_EQ(scalar, threaded) << "step " << step;
-    current = scalar;
-  }
 }
 
 TEST(ThreadPoolStress, ManyPoolsConstructedAndDestroyed) {
