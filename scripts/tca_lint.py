@@ -225,10 +225,7 @@ EXPLICIT_BITS_ENTRIES = (
                r"FunctionalGraph::sweep\b", "sweep"),
     EntryPoint("src/phasespace/preimage.cpp",
                r"count_gardens_of_eden_ring", "count_gardens_of_eden_ring"),
-    EntryPoint("src/phasespace/preimage.cpp",
-               r"count_gardens_of_eden_explicit",
-               "count_gardens_of_eden_explicit"),
-    EntryPoint("src/phasespace/preimage.cpp",
+    EntryPoint("src/phasespace/sharded_build.cpp",
                r"GoeCensus\s+count_gardens_of_eden\b",
                "count_gardens_of_eden"),
     EntryPoint("src/phasespace/sharded_build.cpp",
@@ -252,10 +249,7 @@ SPAN_ENTRIES = (
                r"FunctionalGraph::sweep\b", "sweep"),
     EntryPoint("src/phasespace/preimage.cpp",
                r"count_gardens_of_eden_ring", "count_gardens_of_eden_ring"),
-    EntryPoint("src/phasespace/preimage.cpp",
-               r"count_gardens_of_eden_explicit",
-               "count_gardens_of_eden_explicit"),
-    EntryPoint("src/phasespace/preimage.cpp",
+    EntryPoint("src/phasespace/sharded_build.cpp",
                r"GoeCensus\s+count_gardens_of_eden\b",
                "count_gardens_of_eden"),
     EntryPoint("src/phasespace/sharded_build.cpp",

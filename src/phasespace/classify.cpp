@@ -126,28 +126,10 @@ Classification classify(const FunctionalGraph& fg) {
         }
       };
 
-  // Phase 1: image bitmap (one fetch_or per run of successors sharing a
-  // word) -> Gardens of Eden are the clear bits.
+  // Phase 1: image bitmap -> Gardens of Eden are the clear bits.
   for_chunks([&](std::size_t b, std::size_t e) TCA_HOT_PATH {
     std::fill(depth.get() + b, depth.get() + e, 0u);
-    std::uint64_t run_word = 0;
-    std::uint64_t run_mask = 0;
-    const auto flush = [image](std::uint64_t w, std::uint64_t mask) {
-      std::atomic_ref<std::uint64_t> word(image[w]);
-      if ((word.load(std::memory_order_relaxed) & mask) != mask) {
-        word.fetch_or(mask, std::memory_order_relaxed);
-      }
-    };
-    for (StateCode s = b; s < e; ++s) {
-      const StateCode t = fg.succ(s);
-      if ((t >> 6) != run_word && run_mask != 0) {
-        flush(run_word, run_mask);
-        run_mask = 0;
-      }
-      run_word = t >> 6;
-      run_mask |= std::uint64_t{1} << (t & 63);
-    }
-    if (run_mask != 0) flush(run_word, run_mask);
+    or_into_image(image, b, e, [&fg](StateCode s) { return fg.succ(s); });
   });
   std::uint64_t reached = 0;
   for (std::uint64_t w = 0; w < words; ++w) {

@@ -24,6 +24,7 @@
 // The FunctionalGraph(bits, step) constructor stays for arbitrary maps
 // that are not automata (sds/word.cpp).
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -57,6 +58,36 @@ inline constexpr std::uint32_t kMaxExplicitBits =
 /// states run on the calling thread alone. classify and the service's
 /// sharded builds both size their threads with it.
 [[nodiscard]] unsigned workers_for_states(StateCode count);
+
+/// ORs the successors succ(s), s in [first, last), into a shared image
+/// bitmap (bit t set iff some s maps to t), one relaxed fetch_or per run
+/// of successors sharing a word, skipped when the word already holds
+/// them. classify's phase 1 and the table-free GoE census both fill
+/// their bitmap with it, concurrently over disjoint source ranges: only
+/// the bits are contended, and callers read the bitmap after a join
+/// barrier.
+template <class Succ>
+void or_into_image(std::uint64_t* image, StateCode first, StateCode last,
+                   const Succ& succ) {
+  const auto flush = [image](std::uint64_t w, std::uint64_t mask) {
+    std::atomic_ref<std::uint64_t> word(image[w]);
+    if ((word.load(std::memory_order_relaxed) & mask) != mask) {
+      word.fetch_or(mask, std::memory_order_relaxed);
+    }
+  };
+  std::uint64_t run_word = 0;
+  std::uint64_t run_mask = 0;
+  for (StateCode s = first; s < last; ++s) {
+    const StateCode t = succ(s);
+    if ((t >> 6) != run_word && run_mask != 0) {
+      flush(run_word, run_mask);
+      run_mask = 0;
+    }
+    run_word = t >> 6;
+    run_mask |= std::uint64_t{1} << (t & 63);
+  }
+  if (run_mask != 0) flush(run_word, run_mask);
+}
 
 struct FunctionalGraphBuild;
 
@@ -140,7 +171,7 @@ struct FunctionalGraphBuild {
 /// the automaton is supported, and through the scalar from_bits / step /
 /// to_bits path otherwise. The dispatch decision is made once at
 /// construction; callers that enumerate full tables (phase-space builds,
-/// the explicit Garden-of-Eden census, benches) construct one stepper per
+/// the table-free Garden-of-Eden census, benches) construct one stepper per
 /// thread and stream ranges through it. Results are bit-for-bit identical
 /// across tiers and the scalar path.
 class BatchCodeStepper {

@@ -1,13 +1,8 @@
 #include "phasespace/preimage.hpp"
 
-#include <bit>
-#include <stdexcept>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "phasespace/functional_graph.hpp"
 #include "runtime/error.hpp"
-#include "runtime/fault.hpp"
 
 namespace tca::phasespace {
 namespace {
@@ -292,121 +287,6 @@ GoeCensus count_gardens_of_eden_ring(const RingPreimageSolver& solver,
   const auto status = control.status();
   out.stop_reason = status.stop_reason;
   out.truncated = status.truncated();
-  static obs::Counter& scanned = obs::counter("phasespace.goe.scanned");
-  static obs::Counter& gardens = obs::counter("phasespace.goe.gardens");
-  scanned.add(out.scanned);
-  gardens.add(out.gardens);
-  return out;
-}
-
-std::uint64_t count_gardens_of_eden_explicit(const core::Automaton& a) {
-  runtime::RunControl unlimited;
-  return count_gardens_of_eden_explicit(a, unlimited).gardens;
-}
-
-GoeCensus count_gardens_of_eden_explicit(const core::Automaton& a,
-                                         runtime::RunControl& control) {
-  return count_gardens_of_eden_explicit(a, control,
-                                        runtime::EngineRung::kWideSimd);
-}
-
-GoeCensus count_gardens_of_eden_explicit(const core::Automaton& a,
-                                         runtime::RunControl& control,
-                                         runtime::EngineRung rung) {
-  TCA_SPAN("goe_census_explicit");
-  const auto bits = static_cast<std::uint32_t>(a.size());
-  tca::require_explicit_bits(bits, kMaxExplicitBits,
-                             "count_gardens_of_eden_explicit");
-  const std::uint64_t count = std::uint64_t{1} << bits;
-  const std::uint64_t words = (count + 63) >> 6;
-  GoeCensus out;
-  // The reached bitmap is the census' only allocation; charge it up front.
-  if (control.note_bytes(words * sizeof(std::uint64_t)) !=
-      runtime::StopReason::kNone) {
-    const auto status = control.status();
-    out.stop_reason = status.stop_reason;
-    out.truncated = true;
-    return out;
-  }
-  runtime::fault::check_alloc(words * sizeof(std::uint64_t));
-  std::vector<std::uint64_t> reached(words, 0);
-
-  BatchCodeStepper stepper(a, rung);
-  if (rung == runtime::EngineRung::kWideSimd ||
-      rung == runtime::EngineRung::kBatch64) {
-    // Only the batch rungs can DECLINE an automaton; the packed and
-    // scalar rungs are scalar by design, not by de-optimization.
-    note_batch_fallback(stepper, a, "count_gardens_of_eden_explicit");
-  }
-  StateCode block[1024];
-  for (std::uint64_t s = 0; s < count;) {
-    const auto chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(1024, count - s));
-    if (control.note_states(chunk) != runtime::StopReason::kNone) break;
-    stepper.step_range(s, chunk, block);
-    for (std::size_t j = 0; j < chunk; ++j) {
-      reached[block[j] >> 6] |= std::uint64_t{1} << (block[j] & 63);
-    }
-    s += chunk;
-    out.scanned = s;
-  }
-  const auto status = control.status();
-  out.stop_reason = status.stop_reason;
-  out.truncated = status.truncated() || out.scanned != count;
-  if (!out.truncated) {
-    std::uint64_t hit = 0;
-    for (const std::uint64_t w : reached) hit += std::popcount(w);
-    out.gardens = count - hit;
-  }
-  static obs::Counter& scanned = obs::counter("phasespace.goe.scanned");
-  static obs::Counter& gardens = obs::counter("phasespace.goe.gardens");
-  scanned.add(out.scanned);
-  gardens.add(out.gardens);
-  return out;
-}
-
-GoeCensus count_gardens_of_eden(const SuccessorStore& store,
-                                runtime::RunControl& control) {
-  TCA_SPAN("goe_census_store");
-  tca::require_explicit_bits(store.bits(), max_explicit_bits(store.kind()),
-                             "count_gardens_of_eden");
-  const std::uint64_t count = store.num_entries();
-  const std::uint64_t words = (count + 63) >> 6;
-  GoeCensus out;
-  // The reached bitmap is the census' only allocation; charge it up front.
-  if (control.note_bytes(words * sizeof(std::uint64_t)) !=
-      runtime::StopReason::kNone) {
-    const auto status = control.status();
-    out.stop_reason = status.stop_reason;
-    out.truncated = true;
-    return out;
-  }
-  runtime::fault::check_alloc(words * sizeof(std::uint64_t));
-  std::vector<std::uint64_t> reached(words, 0);
-
-  // Streamed read-back in bounded blocks: the table was already built, so
-  // this pass costs reads, not steps — the disk backend serves it with
-  // pread and never grows the resident set past bitmap + block.
-  StateCode block[4096];
-  for (std::uint64_t s = 0; s < count;) {
-    const auto chunk =
-        static_cast<std::size_t>(std::min<std::uint64_t>(4096, count - s));
-    if (control.note_states(chunk) != runtime::StopReason::kNone) break;
-    store.read_range(s, chunk, block);
-    for (std::size_t j = 0; j < chunk; ++j) {
-      reached[block[j] >> 6] |= std::uint64_t{1} << (block[j] & 63);
-    }
-    s += chunk;
-    out.scanned = s;
-  }
-  const auto status = control.status();
-  out.stop_reason = status.stop_reason;
-  out.truncated = status.truncated() || out.scanned != count;
-  if (!out.truncated) {
-    std::uint64_t hit = 0;
-    for (const std::uint64_t w : reached) hit += std::popcount(w);
-    out.gardens = count - hit;
-  }
   static obs::Counter& scanned = obs::counter("phasespace.goe.scanned");
   static obs::Counter& gardens = obs::counter("phasespace.goe.gardens");
   scanned.add(out.scanned);

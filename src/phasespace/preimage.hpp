@@ -22,10 +22,8 @@
 
 #include "core/automaton.hpp"
 #include "core/configuration.hpp"
-#include "phasespace/successor_store.hpp"
 #include "rules/rule.hpp"
 #include "runtime/budget.hpp"
-#include "runtime/supervisor.hpp"
 
 namespace tca::phasespace {
 
@@ -104,42 +102,11 @@ struct GoeCensus {
     const RingPreimageSolver& solver, std::size_t n,
     runtime::RunControl& control);
 
-/// Explicit Garden-of-Eden census over ALL 2^n configurations of an
-/// arbitrary automaton (any topology, n <= 26): streams the full image of
-/// the synchronous map through the bit-sliced batch engine
-/// (phasespace::BatchCodeStepper) into a reached-states bitmap; gardens
-/// are the unreached codes. Complements the transfer-matrix census above:
-/// that one is per-target and ring-only, this one is whole-space and
-/// topology-agnostic — the two must agree on rings (tested).
-///
-/// Budgeted variant: charges the bitmap bytes up front and one state per
-/// source code in 1024-blocks. A truncated scan has seen only part of the
-/// image, so no garden count can be claimed: `gardens` stays 0 and
-/// `truncated` is set (scanned still reports progress).
-[[nodiscard]] GoeCensus count_gardens_of_eden_explicit(
-    const core::Automaton& a, runtime::RunControl& control);
-
-/// Degradation-ladder variant: the image is streamed at exactly `rung`
-/// (runtime::EngineRung; see BatchCodeStepper's rung constructor). All
-/// rungs produce identical censuses; the Supervisor retries a
-/// memory-pressured census one rung down (phasespace/supervised.hpp).
-[[nodiscard]] GoeCensus count_gardens_of_eden_explicit(
-    const core::Automaton& a, runtime::RunControl& control,
-    runtime::EngineRung rung);
-
-/// Unbudgeted convenience: either completes or throws.
-[[nodiscard]] std::uint64_t count_gardens_of_eden_explicit(
-    const core::Automaton& a);
-
-/// Store-generic census over an ALREADY-BUILT successor table: streams
-/// any SuccessorStore backend (flat / packed / disk) into a
-/// reached-states bitmap in bounded blocks — the disk backend serves the
-/// scan with pread, so an n=28-32 census runs in bitmap + block memory
-/// (1 bit/state + O(4096) staging), never materializing the table in
-/// RAM. Identical gardens/scanned semantics to the explicit census
-/// above; the store must be complete and finalized.
-[[nodiscard]] GoeCensus count_gardens_of_eden(const SuccessorStore& store,
-                                              runtime::RunControl& control);
+// The whole-space censuses, which enumerate every state instead of
+// solving per target, are count_gardens_of_eden in
+// phasespace/sharded_build.hpp: the table-free one over an automaton and
+// the one over a built SuccessorStore. On rings they must agree with the
+// transfer-matrix census above (tested).
 
 /// Number of FIXED POINTS of the parallel map on an n-cell ring, by the
 /// same transfer-matrix trick with the constraint "rule output == the

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -112,10 +113,20 @@ bool pin_to_cpus(const std::vector<unsigned>& cpus) {
   return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
 }
 
+/// States stepped, charged and handed to the sink per block: budgets
+/// and cancellation trip mid-shard, not per shard.
+constexpr std::size_t kBlockStates = 1024;
+
+/// Shard -> range is a fixed function of (count, shard_states); shards are
+/// split into one contiguous region per worker group.
 struct ShardPlan {
   StateCode shard_states = 0;
   std::uint64_t shards_total = 0;
   StateCode count = 0;
+  unsigned workers = 0;
+  const NumaTopology* topo = nullptr;  ///< worker groups
+  /// Group g's shards are [region_end[g - 1], region_end[g]).
+  std::vector<std::uint64_t> region_end;
 
   [[nodiscard]] StateCode shard_first(std::uint64_t shard) const noexcept {
     return shard * shard_states;
@@ -126,141 +137,127 @@ struct ShardPlan {
   }
 };
 
-ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
-                           std::vector<core::NodeId> order,
-                           const ShardedBuildOptions& options,
-                           runtime::RunControl& control,
-                           const char* context) {
-  TCA_SPAN("phase_space_build_sharded");
-  const auto bits = static_cast<std::uint32_t>(a.size());
-  tca::require_explicit_bits(bits, max_explicit_bits(options.store), context);
-  const StateCode count = StateCode{1} << bits;
-
-  ShardedBuild out;
-
-  // --- plan: shards, groups, workers ------------------------------------
+/// Plans 2^bits states as shards of `shard_states` rounded up to a
+/// multiple of `align`, over `workers` workers (0 = one per probed CPU).
+ShardPlan plan_shards(std::uint32_t bits, StateCode shard_states,
+                      unsigned workers, StateCode align) {
   ShardPlan plan;
-  plan.count = count;
-  plan.shard_states = std::max<StateCode>(1, options.shard_states);
-  if (options.store == StoreKind::kDisk) {
-    // Disk extents must own disjoint whole bytes (see DiskStore).
-    plan.shard_states =
-        (plan.shard_states + kPutAlign - 1) / kPutAlign * kPutAlign;
-  }
-  plan.shards_total = (count + plan.shard_states - 1) / plan.shard_states;
-
+  plan.count = StateCode{1} << bits;
+  plan.shard_states =
+      (std::max<StateCode>(1, shard_states) + align - 1) / align * align;
+  plan.shards_total = (plan.count + plan.shard_states - 1) / plan.shard_states;
   // The topology cannot change under a running process; probing sysfs
   // on every build would cost more than a small build itself.
   static const NumaTopology topo = probe_numa_topology();
+  plan.topo = &topo;
   const auto num_groups = static_cast<std::uint32_t>(topo.groups.size());
-  unsigned workers = options.workers != 0 ? options.workers
-                                          : std::max(1u, topo.total_cpus());
-  workers = std::max(1u, workers);
-
-  out.stats.shards_total = plan.shards_total;
-  out.stats.worker_groups = num_groups;
-  out.stats.workers = workers;
+  plan.workers = std::max(1u, workers != 0 ? workers : topo.total_cpus());
 
   // Worker w belongs to group w % G; shard regions are sized
   // proportionally to each group's worker head-count so nobody starts
   // with an empty plate (workerless groups get empty regions and are
   // only reached by stealing — i.e. never, since they hold nothing).
   std::vector<std::uint32_t> group_workers(num_groups, 0);
-  for (unsigned w = 0; w < workers; ++w) ++group_workers[w % num_groups];
-  std::vector<std::uint64_t> region_begin(num_groups, 0);
-  std::vector<std::uint64_t> region_end(num_groups, 0);
-  {
-    std::uint64_t next = 0;
-    std::uint64_t assigned_workers = 0;
-    for (std::uint32_t g = 0; g < num_groups; ++g) {
-      region_begin[g] = next;
-      assigned_workers += group_workers[g];
-      // Cumulative proportional split: exact coverage, no rounding gaps.
-      const std::uint64_t end =
-          plan.shards_total * assigned_workers / workers;
-      region_end[g] = end;
-      next = end;
-    }
-    region_end[num_groups - 1] = plan.shards_total;
+  for (unsigned w = 0; w < plan.workers; ++w) ++group_workers[w % num_groups];
+  plan.region_end.assign(num_groups, 0);
+  std::uint64_t assigned_workers = 0;
+  for (std::uint32_t g = 0; g < num_groups; ++g) {
+    assigned_workers += group_workers[g];
+    // Cumulative proportional split: exact coverage, no rounding gaps.
+    plan.region_end[g] = plan.shards_total * assigned_workers / plan.workers;
   }
+  return plan;
+}
 
-  // --- budget: charge the store + staging footprint up front ------------
-  // Flat shards are stepped straight into the table; the other backends
-  // stage one shard per worker and put_range it.
-  const bool flat = options.store == StoreKind::kFlat;
-  const std::size_t staging_states =
-      flat ? 0
-           : static_cast<std::size_t>(
-                 std::min<StateCode>(plan.shard_states, count));
-  const std::uint64_t staging_bytes =
-      static_cast<std::uint64_t>(workers) * staging_states *
-      sizeof(StateCode);
-  const std::uint64_t charge =
-      estimated_store_bytes(options.store, bits, count) + staging_bytes;
-  if (control.note_bytes(charge) != runtime::StopReason::kNone) {
-    out.build.status = control.status();
-    publish_shard_tallies(out.stats, 0);
-    return out;
+// shard_done: 0 = to step, kResumed = valid on disk, kStored = stepped
+// and sunk by this call (written only by the shard's single claimant).
+constexpr std::uint8_t kResumed = 1;
+constexpr std::uint8_t kStored = 2;
+
+/// Per-worker tallies: each slot is written only by its worker and read
+/// after the join barrier.
+struct WorkerTally {
+  std::uint64_t claimed = 0;
+  std::uint64_t stolen = 0;
+  std::uint64_t stepped = 0;  ///< states stepped by this call
+};
+
+/// A drain's tallies summed over its workers, and its first failure.
+struct DrainResult {
+  WorkerTally total;
+  std::exception_ptr error;
+};
+
+/// The table build's sink: flat shards are stepped straight into the
+/// table; the other backends stage one shard per worker and put_range it
+/// whole.
+struct StoreSink {
+  SuccessorStore* store;
+  StateCode* flat_table;
+  std::vector<StateCode> staging;
+
+  StateCode* block_dst(StateCode first, std::size_t offset) noexcept {
+    return flat_table != nullptr ? flat_table + first + offset
+                                 : staging.data() + offset;
   }
-  runtime::fault::check_alloc(charge);
-
-  std::shared_ptr<SuccessorStore> store =
-      make_store(options.store, bits, options.disk_dir);
-
-  // --- kDisk resume: skip shards whose extents revalidate ---------------
-  // shard_done: 0 = to build, kResumed = valid on disk, kStored = built
-  // and put by this call (written only by the shard's single claimant).
-  constexpr std::uint8_t kResumed = 1;
-  constexpr std::uint8_t kStored = 2;
-  std::vector<std::uint8_t> shard_done(
-      static_cast<std::size_t>(plan.shards_total), 0);
-  if (options.store == StoreKind::kDisk && options.resume) {
-    auto* disk = static_cast<DiskStore*>(store.get());
-    for (const DiskStore::Extent& e : disk->resume()) {
-      // Only extents that exactly tile a shard are reusable (extent
-      // granularity IS shard granularity for every sharded build with
-      // the same shard_states).
-      if (e.first % plan.shard_states != 0) continue;
-      const std::uint64_t shard = e.first / plan.shard_states;
-      if (shard >= plan.shards_total ||
-          e.count != plan.shard_count(shard)) {
-        continue;
-      }
-      if (shard_done[static_cast<std::size_t>(shard)] == 0) {
-        shard_done[static_cast<std::size_t>(shard)] = kResumed;
-        out.stats.resumed_states += e.count;
-      }
-    }
+  void block(const StateCode* /*succ*/, std::size_t /*n*/) noexcept {}
+  void shard(StateCode first, std::size_t n) {
+    if (flat_table == nullptr) store->put_range(first, n, staging.data());
   }
+};
 
-  // --- the work-stealing drain ------------------------------------------
+/// The table-free census' sink: each block is stepped into one
+/// thread-local buffer and ORed into the shared reached bitmap
+/// (or_into_image, as classify's phase 1 fills its image bitmap).
+struct BitmapSink {
+  std::uint64_t* reached;
+  StateCode buffer[kBlockStates];
+
+  StateCode* block_dst(StateCode /*first*/, std::size_t /*offset*/) noexcept {
+    return buffer;
+  }
+  void block(const StateCode* succ, std::size_t n) noexcept {
+    or_into_image(reached, 0, n, [succ](StateCode i) { return succ[i]; });
+  }
+  void shard(StateCode /*first*/, std::size_t /*n*/) noexcept {}
+};
+
+/// The work-stealing drain shared by the table build and the table-free
+/// census. Every worker makes its own sink with make_sink(), claims
+/// shards, steps each one in kBlockStates-blocks into
+/// sink.block_dst(first, offset), hands every stepped block to
+/// sink.block() and every whole shard to sink.shard(). Shards marked in
+/// `done` are skipped; the drain marks the ones it sinks kStored. A
+/// tripped control abandons the shard in hand (never sunk whole) and
+/// stops all claiming; the first worker failure is captured, not thrown.
+template <class MakeSink>
+DrainResult drain_shards(
+    const core::Automaton& a,
+    const std::optional<std::vector<core::NodeId>>& sweep_order,
+    const ShardPlan& plan, const ShardedBuildOptions& options,
+    runtime::RunControl& control, const char* context, std::uint8_t* done,
+    const MakeSink& make_sink) {
+  const NumaTopology& topo = *plan.topo;
+  const auto num_groups = static_cast<std::uint32_t>(plan.region_end.size());
+  const unsigned workers = plan.workers;
   // One claim cursor per group. fetch_add may overshoot region_end by up
   // to one per contending worker; claims are validated against the end,
   // so overshoot only wastes the increment.
+  const std::uint64_t* region_end = plan.region_end.data();
   std::vector<std::atomic<std::uint64_t>> cursors(num_groups);
   for (std::uint32_t g = 0; g < num_groups; ++g) {
-    cursors[g].store(region_begin[g], std::memory_order_relaxed);
+    cursors[g].store(g == 0 ? 0 : region_end[g - 1],
+                     std::memory_order_relaxed);
   }
   std::atomic<bool> abandon{false};
   std::mutex error_mu;
   std::exception_ptr first_error;
-  // Per-worker tallies: each slot is written only by its worker and read
-  // after the join barrier.
-  struct WorkerTally {
-    std::uint64_t claimed = 0;
-    std::uint64_t stolen = 0;
-    std::uint64_t stepped = 0;  ///< states stepped by this call
-  };
   std::vector<WorkerTally> tallies(workers);
 
   runtime::RunControl* ctl = &control;
-  SuccessorStore* store_raw = store.get();
-  StateCode* const flat_table =
-      flat ? static_cast<FlatStore*>(store_raw)->data() : nullptr;
   const ShardPlan* plan_ptr = &plan;
-  std::uint8_t* done = shard_done.data();
 
-  const auto worker_body = [&, ctl, store_raw, flat_table, plan_ptr,
+  const auto worker_body = [&, ctl, plan_ptr, region_end,
                             done](unsigned worker_id) TCA_HOT_PATH {
     const std::uint32_t home = worker_id % num_groups;
     if (options.pin_threads && worker_id != 0) {
@@ -269,20 +266,19 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
     }
     WorkerTally tally;
     try {
-      // Thread-local engine + staging: plans, slices and fallback
-      // buffers are per-thread state.
-      BatchCodeStepper stepper =
-          sweep_mode ? BatchCodeStepper(a, order)
-                     : BatchCodeStepper(a, options.rung);
+      // Thread-local engine + sink: plans, slices, fallback buffers and
+      // staging are per-thread state.
+      BatchCodeStepper stepper = sweep_order
+                                     ? BatchCodeStepper(a, *sweep_order)
+                                     : BatchCodeStepper(a, options.rung);
       if (worker_id == 0 &&
-          (sweep_mode || options.rung != runtime::EngineRung::kScalar)) {
-        // The batch decision is surfaced once per build, not per worker
+          (sweep_order || options.rung != runtime::EngineRung::kScalar)) {
+        // The batch decision is surfaced once per drain, not per worker
         // (all workers make the same decision from the same automaton).
-        // The forced-scalar rung is deliberate, not a fallback — same
-        // policy as count_gardens_of_eden_explicit.
+        // The forced-scalar rung is deliberate, not a fallback.
         note_batch_fallback(stepper, a, context);
       }
-      std::vector<StateCode> staging(staging_states);
+      auto sink = make_sink();
       while (!abandon.load(std::memory_order_relaxed)) {
         // Claim: home group first, then sweep the others (steal).
         std::uint64_t shard = ~std::uint64_t{0};
@@ -305,27 +301,25 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
         runtime::fault::check_chunk();
         const StateCode first = plan_ptr->shard_first(shard);
         const std::size_t n_states = plan_ptr->shard_count(shard);
-        StateCode* const dst =
-            flat_table != nullptr ? flat_table + first : staging.data();
-        // Stream the shard in 1024-blocks so budgets/cancellation trip
-        // mid-shard, not per-shard; a tripped shard is NOT stored (the
-        // store keeps whole shards only — that is what makes disk
-        // extents exact and resumable).
+        // A tripped shard is NOT sunk whole: the store keeps whole shards
+        // only — that is what makes disk extents exact and resumable.
         bool whole = true;
-        for (std::size_t done_states = 0; done_states < n_states;) {
+        for (std::size_t offset = 0; offset < n_states;) {
           const auto block =
-              std::min<std::size_t>(1024, n_states - done_states);
+              std::min<std::size_t>(kBlockStates, n_states - offset);
           if (ctl->note_states(block) != runtime::StopReason::kNone) {
             whole = false;
             abandon.store(true, std::memory_order_relaxed);
             break;
           }
-          stepper.step_range(first + done_states, block, dst + done_states);
-          done_states += block;
+          StateCode* const dst = sink.block_dst(first, offset);
+          stepper.step_range(first + offset, block, dst);
+          sink.block(dst, block);
+          offset += block;
           tally.stepped += block;
         }
         if (!whole) break;
-        if (flat_table == nullptr) store_raw->put_range(first, n_states, dst);
+        sink.shard(first, n_states);
         done[shard] = kStored;
         ++(is_steal ? tally.stolen : tally.claimed);
       }
@@ -367,16 +361,96 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   worker_body(0);
   for (std::thread& t : threads) t.join();
 
-  std::uint64_t stepped = 0;
+  DrainResult out;
+  out.error = first_error;
   for (const WorkerTally& t : tallies) {
-    out.stats.shards_claimed += t.claimed;
-    out.stats.shards_stolen += t.stolen;
-    stepped += t.stepped;
+    out.total.claimed += t.claimed;
+    out.total.stolen += t.stolen;
+    out.total.stepped += t.stepped;
   }
-  if (first_error != nullptr) {
+  return out;
+}
+
+ShardedBuild build_sharded(
+    const core::Automaton& a,
+    const std::optional<std::vector<core::NodeId>>& sweep_order,
+    const ShardedBuildOptions& options, runtime::RunControl& control,
+    const char* context) {
+  TCA_SPAN("phase_space_build_sharded");
+  const auto bits = static_cast<std::uint32_t>(a.size());
+  tca::require_explicit_bits(bits, max_explicit_bits(options.store), context);
+  // Disk extents must own disjoint whole bytes (see DiskStore).
+  const ShardPlan plan = plan_shards(
+      bits, options.shard_states, options.workers,
+      options.store == StoreKind::kDisk ? kPutAlign : StateCode{1});
+  const StateCode count = plan.count;
+
+  ShardedBuild out;
+  out.stats.shards_total = plan.shards_total;
+  out.stats.worker_groups = static_cast<std::uint32_t>(plan.region_end.size());
+  out.stats.workers = plan.workers;
+
+  // --- budget: charge the store + staging footprint up front ------------
+  // Flat shards are stepped straight into the table; the other backends
+  // stage one shard per worker and put_range it.
+  const bool flat = options.store == StoreKind::kFlat;
+  const std::size_t staging_states =
+      flat ? 0
+           : static_cast<std::size_t>(
+                 std::min<StateCode>(plan.shard_states, count));
+  const std::uint64_t staging_bytes =
+      static_cast<std::uint64_t>(plan.workers) * staging_states *
+      sizeof(StateCode);
+  const std::uint64_t charge =
+      estimated_store_bytes(options.store, bits, count) + staging_bytes;
+  if (control.note_bytes(charge) != runtime::StopReason::kNone) {
+    out.build.status = control.status();
+    publish_shard_tallies(out.stats, 0);
+    return out;
+  }
+  runtime::fault::check_alloc(charge);
+
+  std::shared_ptr<SuccessorStore> store =
+      make_store(options.store, bits, options.disk_dir);
+
+  // --- kDisk resume: skip shards whose extents revalidate ---------------
+  std::vector<std::uint8_t> shard_done(
+      static_cast<std::size_t>(plan.shards_total), 0);
+  if (options.store == StoreKind::kDisk && options.resume) {
+    auto* disk = static_cast<DiskStore*>(store.get());
+    for (const DiskStore::Extent& e : disk->resume()) {
+      // Only extents that exactly tile a shard are reusable (extent
+      // granularity IS shard granularity for every sharded build with
+      // the same shard_states).
+      if (e.first % plan.shard_states != 0) continue;
+      const std::uint64_t shard = e.first / plan.shard_states;
+      if (shard >= plan.shards_total ||
+          e.count != plan.shard_count(shard)) {
+        continue;
+      }
+      if (shard_done[static_cast<std::size_t>(shard)] == 0) {
+        shard_done[static_cast<std::size_t>(shard)] = kResumed;
+        out.stats.resumed_states += e.count;
+      }
+    }
+  }
+
+  SuccessorStore* const store_raw = store.get();
+  StateCode* const flat_table =
+      flat ? static_cast<FlatStore*>(store_raw)->data() : nullptr;
+  const DrainResult drained = drain_shards(
+      a, sweep_order, plan, options, control, context, shard_done.data(),
+      [store_raw, flat_table, staging_states] {
+        return StoreSink{store_raw, flat_table,
+                         std::vector<StateCode>(staging_states)};
+      });
+  out.stats.shards_claimed = drained.total.claimed;
+  out.stats.shards_stolen = drained.total.stolen;
+  const std::uint64_t stepped = drained.total.stepped;
+  if (drained.error != nullptr) {
     // Publish what happened before surfacing the failure.
     publish_shard_tallies(out.stats, stepped);
-    std::rethrow_exception(first_error);
+    std::rethrow_exception(drained.error);
   }
   out.build.status = control.status();
 
@@ -408,6 +482,45 @@ ShardedBuild build_sharded(const core::Automaton& a, bool sweep_mode,
   out.build.graph = FunctionalGraph::from_store(std::move(store));
   publish_shard_tallies(out.stats, count);
   return out;
+}
+
+/// The reached bitmap both whole-space censuses fill, 1 bit per state and
+/// their only allocation: charged to `control` up front. Empty, with
+/// `out` truncated, when the byte budget trips.
+std::vector<std::uint64_t> reached_bitmap(StateCode count,
+                                          runtime::RunControl& control,
+                                          GoeCensus& out) {
+  const std::uint64_t words = (count + 63) >> 6;
+  if (control.note_bytes(words * sizeof(std::uint64_t)) !=
+      runtime::StopReason::kNone) {
+    out.stop_reason = control.status().stop_reason;
+    out.truncated = true;
+    return {};
+  }
+  runtime::fault::check_alloc(words * sizeof(std::uint64_t));
+  return std::vector<std::uint64_t>(static_cast<std::size_t>(words), 0);
+}
+
+/// Settles a census whose scan has stopped after out.scanned states: a
+/// complete scan's gardens are the unreached codes, a truncated one
+/// claims none. Publishes the phasespace.goe.{scanned,gardens} counters.
+void settle_census(GoeCensus& out, StateCode count,
+                   const std::vector<std::uint64_t>& reached,
+                   const runtime::RunControl& control) {
+  const runtime::RunStatus status = control.status();
+  out.stop_reason = status.stop_reason;
+  out.truncated = status.truncated() || out.scanned != count;
+  if (!out.truncated) {
+    std::uint64_t hit = 0;
+    for (const std::uint64_t w : reached) {
+      hit += static_cast<std::uint64_t>(std::popcount(w));
+    }
+    out.gardens = count - hit;
+  }
+  static obs::Counter& scanned = obs::counter("phasespace.goe.scanned");
+  static obs::Counter& gardens = obs::counter("phasespace.goe.gardens");
+  scanned.add(out.scanned);
+  gardens.add(out.gardens);
 }
 
 }  // namespace
@@ -455,7 +568,7 @@ NumaTopology probe_numa_topology() {
 ShardedBuild build_synchronous_sharded(const core::Automaton& a,
                                        const ShardedBuildOptions& options,
                                        runtime::RunControl& control) {
-  return build_sharded(a, /*sweep_mode=*/false, {}, options, control,
+  return build_sharded(a, std::nullopt, options, control,
                        "build_synchronous_sharded");
 }
 
@@ -463,8 +576,8 @@ ShardedBuild build_sweep_sharded(const core::Automaton& a,
                                  std::vector<core::NodeId> order,
                                  const ShardedBuildOptions& options,
                                  runtime::RunControl& control) {
-  return build_sharded(a, /*sweep_mode=*/true, std::move(order), options,
-                       control, "build_sweep_sharded");
+  return build_sharded(a, std::move(order), options, control,
+                       "build_sweep_sharded");
 }
 
 SupervisedShardedBuild supervised_synchronous_sharded(
@@ -487,6 +600,62 @@ SupervisedShardedBuild supervised_synchronous_sharded(
         return out.build.complete() ? runtime::AttemptOutcome::kCompleted
                                     : runtime::AttemptOutcome::kTruncated;
       });
+  return out;
+}
+
+GoeCensus count_gardens_of_eden(
+    const core::Automaton& a,
+    std::optional<std::vector<core::NodeId>> sweep_order,
+    const ShardedBuildOptions& options, runtime::RunControl& control) {
+  TCA_SPAN("goe_census_sharded");
+  const auto bits = static_cast<std::uint32_t>(a.size());
+  // Only the bitmap is resident, so the widest backend's ceiling holds.
+  tca::require_explicit_bits(bits, max_explicit_bits(StoreKind::kDisk),
+                             "count_gardens_of_eden");
+  const ShardPlan plan =
+      plan_shards(bits, options.shard_states, options.workers, 1);
+  GoeCensus out;
+  std::vector<std::uint64_t> reached = reached_bitmap(plan.count, control, out);
+  if (out.truncated) return out;
+  std::vector<std::uint8_t> shard_done(
+      static_cast<std::size_t>(plan.shards_total), 0);
+  std::uint64_t* const bitmap = reached.data();
+  const DrainResult drained =
+      drain_shards(a, sweep_order, plan, options, control,
+                   "count_gardens_of_eden", shard_done.data(),
+                   [bitmap] { return BitmapSink{bitmap, {}}; });
+  if (drained.error != nullptr) std::rethrow_exception(drained.error);
+  out.scanned = drained.total.stepped;
+  settle_census(out, plan.count, reached, control);
+  return out;
+}
+
+GoeCensus count_gardens_of_eden(const SuccessorStore& store,
+                                runtime::RunControl& control) {
+  TCA_SPAN("goe_census_store");
+  tca::require_explicit_bits(store.bits(), max_explicit_bits(store.kind()),
+                             "count_gardens_of_eden");
+  const StateCode count = store.num_entries();
+  GoeCensus out;
+  std::vector<std::uint64_t> reached = reached_bitmap(count, control, out);
+  if (out.truncated) return out;
+
+  // Streamed read-back in bounded blocks: the table was already built, so
+  // this pass costs reads, not steps — the disk backend serves it with
+  // pread and never grows the resident set past bitmap + block.
+  StateCode block[4096];
+  for (StateCode s = 0; s < count;) {
+    const auto chunk =
+        static_cast<std::size_t>(std::min<StateCode>(4096, count - s));
+    if (control.note_states(chunk) != runtime::StopReason::kNone) break;
+    store.read_range(s, chunk, block);
+    for (std::size_t j = 0; j < chunk; ++j) {
+      reached[block[j] >> 6] |= std::uint64_t{1} << (block[j] & 63);
+    }
+    s += chunk;
+    out.scanned = s;
+  }
+  settle_census(out, count, reached, control);
   return out;
 }
 

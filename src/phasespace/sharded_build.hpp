@@ -5,7 +5,9 @@
 // FunctionalGraph::synchronous / sweep are facades over it (kFlat,
 // workers_for_states(2^n), unlimited control), budgeted callers call
 // build_*_sharded directly and supervised callers
-// supervised_synchronous_sharded.
+// supervised_synchronous_sharded. The same work-stealing drain also runs
+// the table-free Garden-of-Eden census: instead of storing each stepped
+// block it ORs the block's successors into a 1-bit/state reached bitmap.
 //
 //  * the 2^n code range is cut into fixed shards (multiples of
 //    successor_store.hpp's kPutAlign on the disk backend, so extents
@@ -45,11 +47,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/automaton.hpp"
 #include "phasespace/functional_graph.hpp"
+#include "phasespace/preimage.hpp"
 #include "phasespace/successor_store.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/supervisor.hpp"
@@ -159,5 +163,37 @@ struct SupervisedShardedBuild {
 [[nodiscard]] SupervisedShardedBuild supervised_synchronous_sharded(
     const core::Automaton& a, ShardedBuildOptions options,
     const runtime::SupervisorOptions& supervisor);
+
+/// Table-free Garden-of-Eden census over ALL 2^n configurations of any
+/// automaton (any topology, n <= max_explicit_bits(kDisk)): the sharded
+/// drain steps every code, synchronously or, given `sweep_order`, by one
+/// full sweep of it, and ORs each 1024-block of successors into a
+/// 1-bit/state reached bitmap; gardens are the unreached codes. Nothing
+/// is stored, so options.store, disk_dir and resume are ignored; workers,
+/// shard_states, pin_threads and rung (synchronous only, the sweep map
+/// runs the dispatched tier) mean what they mean for a build, and the
+/// census is identical for every one of them. On rings it must agree
+/// with the transfer-matrix census (tested).
+///
+/// Budgeted like a build: the bitmap bytes are charged up front and one
+/// state per source code in 1024-blocks. A truncated census has seen
+/// only part of the image, so no garden count can be claimed: `gardens`
+/// stays 0, `truncated` is set with the stop reason, and `scanned`
+/// reports the states stepped. Nothing is kept for a resume; callers
+/// supervise it with runtime::Supervisor, one attempt per rung.
+[[nodiscard]] GoeCensus count_gardens_of_eden(
+    const core::Automaton& a,
+    std::optional<std::vector<core::NodeId>> sweep_order,
+    const ShardedBuildOptions& options, runtime::RunControl& control);
+
+/// Census over an ALREADY-BUILT successor table: streams any
+/// SuccessorStore backend (flat / packed / disk) into a reached-states
+/// bitmap in bounded blocks — the disk backend serves the scan with
+/// pread, so an n=28-32 census runs in bitmap + block memory (1 bit/state
+/// + O(4096) staging), never materializing the table in RAM. Same
+/// gardens/scanned/truncated semantics as the table-free census above;
+/// the store must be complete and finalized.
+[[nodiscard]] GoeCensus count_gardens_of_eden(const SuccessorStore& store,
+                                              runtime::RunControl& control);
 
 }  // namespace tca::phasespace

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <system_error>
@@ -16,7 +17,6 @@
 #include "phasespace/classify.hpp"
 #include "phasespace/preimage.hpp"
 #include "phasespace/sharded_build.hpp"
-#include "phasespace/supervised.hpp"
 #include "runtime/error.hpp"
 
 namespace tca::service {
@@ -24,55 +24,40 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Derives the typed result from a completed explicit graph. Every path
-/// is storage-generic: random access goes through FunctionalGraph::succ
-/// and whole-table scans stream via SuccessorStore::for_each_range, so
-/// the same code serves the flat, packed, and disk backends
-/// (docs/service.md "storage backends").
+/// Derives the typed result of a graph-building query kind
+/// (attractor-summary, transient-depth, explicit preimage-count) from a
+/// completed explicit graph. Every path is storage-generic: random access
+/// goes through FunctionalGraph::succ and whole-table scans stream via
+/// SuccessorStore::for_each_range, so the same code serves the flat,
+/// packed, and disk backends (docs/service.md "storage backends").
 QueryResult result_from_graph(const ServiceQuery& query,
                               const phasespace::FunctionalGraph& fg) {
   QueryResult r;
   r.kind = query.kind;
   r.num_states = fg.num_states();
-  switch (query.kind) {
-    case QueryKind::kAttractorSummary:
-    case QueryKind::kTransientDepth: {
-      const phasespace::Classification c = phasespace::classify(fg);
-      r.num_attractors = c.attractors.size();
-      r.num_fixed_points = c.num_fixed_points;
-      r.num_cycle_states = c.num_cycle_states;
-      r.num_transient_states = c.num_transient_states;
-      r.num_gardens_of_eden = c.num_gardens_of_eden;
-      r.max_period = c.max_period();
-      r.max_transient = c.max_transient;
-      r.cycle_lengths.assign(c.cycle_length_histogram.begin(),
-                             c.cycle_length_histogram.end());
-      break;
-    }
-    case QueryKind::kGoeCensus: {
-      // A 1-bit/state reached bitmap; the table is complete, so the
-      // census runs unbudgeted and never truncates.
-      runtime::RunControl unlimited;
-      r.gardens =
-          phasespace::count_gardens_of_eden(fg.store(), unlimited).gardens;
-      r.scanned = fg.num_states();
-      break;
-    }
-    case QueryKind::kPreimageCount: {
-      std::uint64_t count = 0;
-      fg.store().for_each_range(
-          [&](phasespace::StateCode, std::size_t n,
-              const phasespace::StateCode* block) {
-            for (std::size_t i = 0; i < n; ++i) {
-              count += block[i] == query.target ? 1 : 0;
-            }
-          });
-      r.preimage_count = count;
-      r.is_garden_of_eden = count == 0;
-      r.method = "explicit";
-      break;
-    }
+  if (query.kind == QueryKind::kPreimageCount) {
+    std::uint64_t count = 0;
+    fg.store().for_each_range([&](phasespace::StateCode, std::size_t n,
+                                  const phasespace::StateCode* block) {
+      for (std::size_t i = 0; i < n; ++i) {
+        count += block[i] == query.target ? 1 : 0;
+      }
+    });
+    r.preimage_count = count;
+    r.is_garden_of_eden = count == 0;
+    r.method = "explicit";
+    return r;
   }
+  const phasespace::Classification c = phasespace::classify(fg);
+  r.num_attractors = c.attractors.size();
+  r.num_fixed_points = c.num_fixed_points;
+  r.num_cycle_states = c.num_cycle_states;
+  r.num_transient_states = c.num_transient_states;
+  r.num_gardens_of_eden = c.num_gardens_of_eden;
+  r.max_period = c.max_period();
+  r.max_transient = c.max_transient;
+  r.cycle_lengths.assign(c.cycle_length_histogram.begin(),
+                         c.cycle_length_histogram.end());
   return r;
 }
 
@@ -186,9 +171,8 @@ QueryOutcome QueryEngine::execute(const ServiceQuery& query,
   if (query.kind == QueryKind::kPreimageCount && !query.needs_explicit_graph()) {
     return run_preimage_transfer_matrix(query);
   }
-  if (query.kind == QueryKind::kGoeCensus &&
-      query.scheme == Scheme::kSynchronous) {
-    return run_goe_supervised(query, budget, token);
+  if (query.kind == QueryKind::kGoeCensus) {
+    return run_goe_census(query, budget, std::move(token));
   }
   return run_explicit(query, budget, std::move(token));
 }
@@ -209,54 +193,76 @@ QueryOutcome QueryEngine::run_preimage_transfer_matrix(
   out.result.preimage_count = count;
   out.result.is_garden_of_eden = count == 0;
   out.result.method = "transfer-matrix";
-  out.states_done = out.states_total = out.result.num_states;
+  out.states_total = out.result.num_states;
   return out;
 }
 
-QueryOutcome QueryEngine::run_goe_supervised(const ServiceQuery& query,
-                                             const RequestBudget& budget,
-                                             runtime::CancelToken token) {
-  TCA_SPAN("service_goe_census");
+bool QueryEngine::supervise(
+    std::string_view job, const RequestBudget& budget,
+    runtime::CancelToken token, QueryOutcome& out,
+    const std::function<bool(runtime::AttemptContext&)>& attempt) const {
   static obs::Counter& supervised = obs::counter("service.engine.supervised");
   static obs::Counter& truncated = obs::counter("service.engine.truncated");
   static obs::Counter& failed = obs::counter("service.engine.failed");
 
-  const AdmissionSlot slot(*this);
   supervised.add();
-
   runtime::SupervisorOptions opts = options_.supervisor;
   opts.attempt_budget = budget.to_run_budget();
   if (budget.wall_ms != 0) {
     opts.deadline = std::chrono::milliseconds(budget.wall_ms);
   }
   opts.token = std::move(token);
+  runtime::Supervisor sup(opts);
+  const runtime::SupervisorReport report =
+      sup.run(job, [&](runtime::AttemptContext& ctx) {
+        return attempt(ctx) ? runtime::AttemptOutcome::kCompleted
+                            : runtime::AttemptOutcome::kTruncated;
+      });
+  out.degraded = report.degraded;
+  if (!report.ok()) {
+    out.status = QueryOutcome::Status::kFailed;
+    out.error_code = report.last_error;
+    out.error = report.last_error_what;
+    failed.add();
+    return false;
+  }
+  if (report.state == runtime::SupervisedState::kTruncated) {
+    out.status = QueryOutcome::Status::kTruncated;
+    out.stop_reason = report.last_status.stop_reason;
+    truncated.add();
+    return false;
+  }
+  return true;
+}
 
-  const core::Automaton a = query.automaton();
-  const phasespace::SupervisedGoeCensus sup =
-      phasespace::supervised_goe_census(a, opts);
+QueryOutcome QueryEngine::run_goe_census(const ServiceQuery& query,
+                                         const RequestBudget& budget,
+                                         runtime::CancelToken token) {
+  TCA_SPAN("service_goe_census");
+  const AdmissionSlot slot(*this);
 
   QueryOutcome out;
-  out.degraded = sup.report.degraded;
   out.states_total = std::uint64_t{1} << query.n;
-  out.states_done = sup.census.scanned;
-  out.stop_reason = sup.census.stop_reason;
-  if (!sup.report.ok()) {
-    out.status = QueryOutcome::Status::kFailed;
-    out.error_code = sup.report.last_error;
-    out.error = sup.report.last_error_what;
-    failed.add();
-    return out;
-  }
-  if (sup.census.truncated) {
-    out.status = QueryOutcome::Status::kTruncated;
-    truncated.add();
-    return out;
-  }
+  const core::Automaton a = query.automaton();
+  std::optional<std::vector<core::NodeId>> order;
+  if (query.scheme == Scheme::kSweep) order = query.effective_order();
+  phasespace::ShardedBuildOptions census_options;
+  census_options.workers = phasespace::workers_for_states(out.states_total);
+  phasespace::GoeCensus census;
+  const bool complete = supervise(
+      "service.goe_census", budget, std::move(token), out,
+      [&](runtime::AttemptContext& ctx) {
+        census_options.rung = ctx.rung;
+        census = phasespace::count_gardens_of_eden(a, order, census_options,
+                                                   ctx.control);
+        return !census.truncated;
+      });
+  if (!complete) return out;
   out.status = QueryOutcome::Status::kOk;
   out.result.kind = query.kind;
   out.result.num_states = out.states_total;
-  out.result.gardens = sup.census.gardens;
-  out.result.scanned = sup.census.scanned;
+  out.result.gardens = census.gardens;
+  out.result.scanned = census.scanned;
   return out;
 }
 
@@ -285,7 +291,6 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
   std::optional<phasespace::FunctionalGraph> fg = build_supervised(
       query, budget, std::move(token), store_kind, resumable, out);
   if (fg) {
-    out.states_done = out.states_total;
     out.result = result_from_graph(query, *fg);
     out.status = QueryOutcome::Status::kOk;
   }
@@ -306,13 +311,9 @@ std::optional<phasespace::FunctionalGraph> QueryEngine::build_supervised(
     const ServiceQuery& query, const RequestBudget& budget,
     runtime::CancelToken token, phasespace::StoreKind store_kind,
     bool resumable, QueryOutcome& out) const {
-  static obs::Counter& supervised = obs::counter("service.engine.supervised");
-  static obs::Counter& truncated = obs::counter("service.engine.truncated");
-  static obs::Counter& failed = obs::counter("service.engine.failed");
   static obs::Counter& resume_saved = obs::counter("service.resume.saved");
   static obs::Counter& resume_resumed = obs::counter("service.resume.resumed");
 
-  supervised.add();
   const core::Automaton a = query.automaton();
 
   // A resumable build spills kDisk extents, so a truncated or killed
@@ -328,16 +329,10 @@ std::optional<phasespace::FunctionalGraph> QueryEngine::build_supervised(
     build_options.resume = resumable;
   }
 
-  runtime::SupervisorOptions opts = options_.supervisor;
-  opts.attempt_budget = budget.to_run_budget();
-  if (budget.wall_ms != 0) {
-    opts.deadline = std::chrono::milliseconds(budget.wall_ms);
-  }
-  opts.token = std::move(token);
-  runtime::Supervisor sup(opts);
   phasespace::ShardedBuild build;
-  const runtime::SupervisorReport report = sup.run(
-      "service.build", [&](runtime::AttemptContext& ctx) {
+  const bool complete = supervise(
+      "service.build", budget, std::move(token), out,
+      [&](runtime::AttemptContext& ctx) {
         // Synchronous builds honor the degradation-ladder rung; the sweep
         // map is inherently per-code and runs the dispatched tier.
         build_options.rung = ctx.rung;
@@ -355,23 +350,15 @@ std::optional<phasespace::FunctionalGraph> QueryEngine::build_supervised(
                           {"resumed", build.stats.resumed_states},
                           {"total", out.states_total}});
         }
-        return build.complete() ? runtime::AttemptOutcome::kCompleted
-                                : runtime::AttemptOutcome::kTruncated;
+        return build.complete();
       });
-  out.degraded = report.degraded;
-  out.states_done = build.stats.stored_states;
-  if (!report.ok()) {
-    out.status = QueryOutcome::Status::kFailed;
-    out.error_code = report.last_error;
-    out.error = report.last_error_what;
-    failed.add();
-    return std::nullopt;
-  }
-  if (!build.complete()) {
-    out.status = QueryOutcome::Status::kTruncated;
-    out.stop_reason = report.last_status.stop_reason;
-    truncated.add();
-    if (resumable && out.states_done != 0) resume_saved.add();
+  if (!complete) {
+    // Only a resumable build keeps its whole shards for the next request;
+    // any other truncated build leaves nothing to resume.
+    if (out.status == QueryOutcome::Status::kTruncated && resumable) {
+      out.states_done = build.stats.stored_states;
+      if (out.states_done != 0) resume_saved.add();
+    }
     return std::nullopt;
   }
   if (!resumable || store_kind == phasespace::StoreKind::kDisk) {

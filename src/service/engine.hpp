@@ -1,15 +1,20 @@
 #pragma once
 // The tcad compute core (docs/service.md).
 //
-// Executes one validated ServiceQuery and returns a typed outcome. Two
+// Executes one validated ServiceQuery and returns a typed outcome. Three
 // execution paths, picked per query:
 //
 //  * TRANSFER MATRIX — synchronous-ring preimage counts go through
 //    phasespace::RingPreimageSolver: O(n) matrix products, no state
 //    enumeration, answered inline (no admission slot needed).
-//  * SUPERVISED — every explicit build runs under runtime::Supervisor
-//    (retry + engine-degradation ladder) with a per-request RunBudget and
-//    CancelToken, one sharded build per attempt
+//  * GOE CENSUS — every goe-census query, of either scheme, is one
+//    supervised table-free census (phasespace::count_gardens_of_eden over
+//    the automaton, one worker per 2^20 states): the sharded drain ORs
+//    successors into a 1-bit/state bitmap, so nothing is stored, spilled
+//    or resumed — a truncated or retried census restarts its scan.
+//  * SUPERVISED BUILD — the other kinds build the successor table under
+//    runtime::Supervisor (retry + engine-degradation ladder) with a
+//    per-request RunBudget and CancelToken, one sharded build per attempt
 //    (phasespace::build_synchronous_sharded / build_sweep_sharded, one
 //    worker per 2^20 states). With a ckpt_dir, builds above small_n_bits
 //    spill kDisk extents under ckpt_dir/store/<digest>, each state once,
@@ -18,10 +23,7 @@
 //    recorded beside the extents, so a digest collision wipes them
 //    instead of seeding the wrong build. Smaller builds, and every build
 //    without a ckpt_dir, write straight into the configured store:
-//    recomputing them is cheaper than checkpointing them. (The
-//    synchronous GoE census goes through phasespace::supervised_goe_census;
-//    its reached-states bitmap is not checkpointed — a retry restarts the
-//    scan. Graph-building queries are the resumable ones.)
+//    recomputing them is cheaper than checkpointing them.
 //
 // Admission control: at most max_concurrent_builds explicit builds run
 // at once; excess requests queue on a condition variable (FIFO-ish) and
@@ -31,8 +33,10 @@
 // service.resume.{saved,resumed}.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/annotations.hpp"
 #include "phasespace/functional_graph.hpp"
@@ -80,8 +84,9 @@ struct QueryOutcome {
   Status status = Status::kFailed;
   QueryResult result;  ///< valid iff status == kOk
   runtime::StopReason stop_reason = runtime::StopReason::kNone;
-  /// Truncated large-n builds: states held by whole stored shards, which
-  /// a resume skips when a ckpt_dir is set.
+  /// Truncated resumable builds: states held by the whole kDisk shards
+  /// kept under ckpt_dir, which the next identical request skips. 0 when
+  /// nothing was kept (no ckpt_dir, small n, GoE censuses).
   std::uint64_t states_done = 0;
   std::uint64_t states_total = 0;
   bool resumed = false;   ///< extents of an earlier request seeded this build
@@ -118,9 +123,16 @@ class QueryEngine {
   QueryOutcome run_explicit(const ServiceQuery& query,
                             const RequestBudget& budget,
                             runtime::CancelToken token);
-  QueryOutcome run_goe_supervised(const ServiceQuery& query,
-                                  const RequestBudget& budget,
-                                  runtime::CancelToken token);
+  QueryOutcome run_goe_census(const ServiceQuery& query,
+                              const RequestBudget& budget,
+                              runtime::CancelToken token);
+  /// Runs `attempt` (true = complete) under a Supervisor with the
+  /// request's budget, deadline and token; a failed or truncated run is
+  /// recorded in `out`. True iff an attempt completed.
+  bool supervise(
+      std::string_view job, const RequestBudget& budget,
+      runtime::CancelToken token, QueryOutcome& out,
+      const std::function<bool(runtime::AttemptContext&)>& attempt) const;
   /// run_explicit's build: the completed graph, or nullopt with `out`
   /// describing the truncation or failure. A `resumable` build spills
   /// kDisk extents under ckpt_dir and resumes from them.

@@ -24,8 +24,8 @@ Graph any_space(std::mt19937_64& rng, std::uint32_t max_nodes) {
   switch (rng() % 9) {
     case 0: return graph::ring(cap(3, 12));
     case 1: return graph::path(cap(1, 12));
-    case 2: return graph::random_gnp(cap(2, 10), 0.2 + 0.05 * (rng() % 9),
-                                     rng());
+    case 2: return graph::random_gnp(
+        cap(2, 10), 0.2 + 0.05 * static_cast<double>(rng() % 9), rng());
     case 3: return graph::grid2d(2 + rng() % 2, cap(2, 4));
     case 4: return graph::hypercube(2 + rng() % 2);
     case 5: return graph::complete(cap(2, 6));
@@ -33,7 +33,7 @@ Graph any_space(std::mt19937_64& rng, std::uint32_t max_nodes) {
     case 7: return graph::star(cap(2, 10));
     default: {
       // random 3-regular graph needs n*d even and d < n.
-      const NodeId nodes = 4 + 2 * (rng() % 3);
+      const auto nodes = static_cast<NodeId>(4 + 2 * (rng() % 3));
       return graph::random_regular(nodes, 3, rng());
     }
   }
@@ -56,7 +56,7 @@ Graph bipartite_space(std::mt19937_64& rng, std::uint32_t max_nodes) {
 /// A tiny substrate whose explicit ACA state space fits one word.
 Graph tiny_space(std::mt19937_64& rng) {
   switch (rng() % 4) {
-    case 0: return graph::ring(3 + rng() % 3);
+    case 0: return graph::ring(static_cast<NodeId>(3 + rng() % 3));
     case 1: return graph::path(2 + rng() % 4);
     case 2: return graph::complete(2 + rng() % 4);
     default: return graph::random_gnp(2 + static_cast<NodeId>(rng() % 5), 0.5,

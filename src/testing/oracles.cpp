@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <span>
 #include <sstream>
@@ -20,9 +21,11 @@
 #include "core/sequential.hpp"
 #include "core/synchronous.hpp"
 #include "core/synchronous_fast.hpp"
+#include "graph/builders.hpp"
 #include "graph/properties.hpp"
 #include "phasespace/classify.hpp"
 #include "phasespace/functional_graph.hpp"
+#include "phasespace/preimage.hpp"
 #include "phasespace/sharded_build.hpp"
 #include "phasespace/successor_store.hpp"
 #include "runtime/budget.hpp"
@@ -623,8 +626,9 @@ PropertyResult check_store_backend_agree(const TestCase& tc) {
   if (tc.n == 0 || tc.n > kExplicitBits) return PropertyResult::pass();
   const auto a = tc.automaton();
 
-  // Reference: the serial flat build.
+  // Reference: the serial flat build and its classification.
   const auto reference = phasespace::FunctionalGraph::synchronous(a);
+  const phasespace::Classification want = phasespace::classify(reference);
 
   // Seed-rotated build shape so the sweep covers worker counts, shard
   // sizes (including non-multiples of 64, which straddle packed words
@@ -634,6 +638,12 @@ PropertyResult check_store_backend_agree(const TestCase& tc) {
   options.shard_states = 1 + (tc.seed >> 2) % 130;
   options.rung =
       static_cast<runtime::EngineRung>(tc.seed % runtime::kEngineRungCount);
+
+  // Every Garden-of-Eden census must count what classify counts.
+  runtime::RunControl unlimited;
+  const auto goe_differs = [&](const phasespace::GoeCensus& got) {
+    return got.truncated || got.gardens != want.num_gardens_of_eden;
+  };
 
   const auto check_backend =
       [&](phasespace::StoreKind kind,
@@ -664,20 +674,21 @@ PropertyResult check_store_backend_agree(const TestCase& tc) {
       }
     });
     if (!verdict.ok) return verdict;
-    // ... and so must the classify summary derived THROUGH the backend.
+    // ... and so must the classify summary derived THROUGH the backend,
+    // and the GoE census streamed back out of it.
     const phasespace::Classification got =
         phasespace::classify(*out.build.graph);
-    const phasespace::Classification want = phasespace::classify(reference);
     if (got.num_fixed_points != want.num_fixed_points ||
         got.num_cycle_states != want.num_cycle_states ||
         got.num_transient_states != want.num_transient_states ||
         got.num_gardens_of_eden != want.num_gardens_of_eden ||
         got.max_period() != want.max_period() ||
         got.max_transient != want.max_transient ||
-        got.attractors.size() != want.attractors.size()) {
+        got.attractors.size() != want.attractors.size() ||
+        goe_differs(phasespace::count_gardens_of_eden(*out.store, unlimited))) {
       return PropertyResult::fail(
           std::string(phasespace::store_kind_name(kind)) +
-          " backend classify summary diverges from the flat one");
+          " backend classify summary or GoE census diverges from the flat one");
     }
     return PropertyResult::pass();
   };
@@ -697,7 +708,34 @@ PropertyResult check_store_backend_agree(const TestCase& tc) {
   const PropertyResult r =
       check_backend(phasespace::StoreKind::kDisk, dir.string());
   fs::remove_all(dir, ec);
-  return r;
+  if (!r.ok) return r;
+
+  // The table-free census at the same rung, workers and shard size...
+  if (goe_differs(phasespace::count_gardens_of_eden(a, std::nullopt, options,
+                                                    unlimited))) {
+    return PropertyResult::fail(
+        "the table-free GoE census diverges from classify's " +
+        std::to_string(want.num_gardens_of_eden));
+  }
+  // ... and, when the substrate is a radius-r ring graph::ring(n, r) with
+  // r <= 3, the independent transfer-matrix census.
+  const std::uint32_t self = tc.memory == core::Memory::kWith ? 1u : 0u;
+  for (std::uint32_t radius = 1; radius <= 3; ++radius) {
+    if (tc.n < 2 * radius + 1 ||
+        graph::ring(tc.n, radius).edges() != tc.space().edges()) {
+      continue;
+    }
+    const phasespace::RingPreimageSolver solver(
+        tc.rule.materialize(2 * radius + self), radius, tc.memory);
+    if (phasespace::count_gardens_of_eden_ring(solver, tc.n) !=
+        want.num_gardens_of_eden) {
+      return PropertyResult::fail(
+          "the radius-" + std::to_string(radius) +
+          " transfer-matrix GoE census diverges from classify's " +
+          std::to_string(want.num_gardens_of_eden));
+    }
+  }
+  return PropertyResult::pass();
 }
 
 std::vector<Oracle> build_registry() {

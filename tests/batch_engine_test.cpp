@@ -1,13 +1,14 @@
 // Cross-validation of the bit-sliced batch engine (src/core/batch_kernels,
 // phasespace::BatchCodeStepper) against the scalar engines — bit-for-bit
 // equivalence over random rules, ragged lane counts, and awkward ring
-// sizes, plus the fallback observability contract and the explicit
-// Garden-of-Eden census.
+// sizes, plus the fallback observability contract and the table-free
+// Garden-of-Eden census the batch engine streams.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <span>
 #include <string>
@@ -24,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "phasespace/functional_graph.hpp"
 #include "phasespace/preimage.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "rules/rule.hpp"
 
 namespace tca {
@@ -309,6 +311,30 @@ TEST(BatchCodeStepper, FallbackCountsAndLogs) {
   EXPECT_EQ(captured[0].level, obs::LogLevel::kWarn);
 }
 
+/// The table-free census at `workers` workers over `shard_states`-state
+/// shards: 64 by default, so even small automata drain several shards
+/// concurrently; 0 keeps the builder's default, whose blocks are full
+/// 1024-blocks.
+phasespace::GoeCensus census_at(
+    const Automaton& a, unsigned workers,
+    std::optional<std::vector<core::NodeId>> sweep_order = std::nullopt,
+    StateCode shard_states = 64) {
+  phasespace::ShardedBuildOptions options;
+  options.workers = workers;
+  if (shard_states != 0) options.shard_states = shard_states;
+  runtime::RunControl control;
+  return phasespace::count_gardens_of_eden(a, std::move(sweep_order), options,
+                                           control);
+}
+
+/// Gardens of Eden read off an explicit phase space: the unreached codes.
+std::uint64_t unreached(const phasespace::FunctionalGraph& fg) {
+  std::vector<char> reached(fg.num_states(), 0);
+  for (StateCode s = 0; s < fg.num_states(); ++s) reached[fg.succ(s)] = 1;
+  return static_cast<std::uint64_t>(
+      std::count(reached.begin(), reached.end(), 0));
+}
+
 TEST(GoeCensusExplicit, AgreesWithTransferMatrixOnRings) {
   for (const auto& rule : {rules::majority(), rules::parity()}) {
     for (const std::size_t n : {5u, 9u, 12u}) {
@@ -316,38 +342,106 @@ TEST(GoeCensusExplicit, AgreesWithTransferMatrixOnRings) {
           Automaton::line(n, 1, Boundary::kRing, rule, Memory::kWith);
       const phasespace::RingPreimageSolver solver(rule, 1, Memory::kWith);
       const auto expected = phasespace::count_gardens_of_eden_ring(solver, n);
-      EXPECT_EQ(phasespace::count_gardens_of_eden_explicit(a), expected)
-          << rules::describe(rule) << " n=" << n;
+      for (unsigned workers = 1; workers <= 4; ++workers) {
+        for (const StateCode shard_states : {StateCode{64}, StateCode{0}}) {
+          const auto census = census_at(a, workers, std::nullopt, shard_states);
+          ASSERT_FALSE(census.truncated);
+          EXPECT_EQ(census.gardens, expected)
+              << rules::describe(rule) << " n=" << n << " workers=" << workers
+              << " shard_states=" << shard_states;
+          EXPECT_EQ(census.scanned, StateCode{1} << n);
+        }
+      }
     }
   }
 }
 
 TEST(GoeCensusExplicit, WorksOffRingsAndOnFallbackAutomata) {
   // A path graph (not a ring) — outside the transfer-matrix solver's
-  // domain; cross-check against the explicit phase space instead.
-  const std::size_t n = 9;
-  const auto a = Automaton::line(n, 1, Boundary::kFixedZero, rules::majority(),
+  // domain — and a non-homogeneous ring, which the batch engine
+  // declines: cross-check both against the explicit phase space.
+  const graph::Graph ring(4, std::vector<graph::Edge>{
+                                 {0, 1}, {1, 2}, {2, 3}, {3, 0}});
+  const std::vector<Automaton> automata = {
+      Automaton::line(9, 1, Boundary::kFixedZero, rules::majority(),
+                      Memory::kWith),
+      Automaton::from_graph_per_node(
+          ring,
+          {rules::majority(), rules::parity(), rules::majority(),
+           rules::parity()},
+          Memory::kWith)};
+  for (const Automaton& a : automata) {
+    const std::uint64_t expected =
+        unreached(phasespace::FunctionalGraph::synchronous(a));
+    for (unsigned workers = 1; workers <= 4; ++workers) {
+      EXPECT_EQ(census_at(a, workers).gardens, expected)
+          << "n=" << a.size() << " workers=" << workers;
+    }
+  }
+}
+
+TEST(GoeCensusExplicit, SweepSchemeCountsTheSweepPhaseSpace) {
+  const std::size_t n = 10;
+  const auto a = Automaton::line(n, 1, Boundary::kRing, rules::majority(),
                                  Memory::kWith);
-  const auto fg = phasespace::FunctionalGraph::synchronous(a);
-  std::vector<char> reached(fg.num_states(), 0);
-  for (StateCode s = 0; s < fg.num_states(); ++s) reached[fg.succ(s)] = 1;
-  std::uint64_t expected = 0;
-  for (const char r : reached) expected += r == 0 ? 1 : 0;
-  EXPECT_EQ(phasespace::count_gardens_of_eden_explicit(a), expected);
+  std::vector<core::NodeId> identity(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    identity[i] = static_cast<core::NodeId>(i);
+  }
+  std::vector<core::NodeId> reversed(identity.rbegin(), identity.rend());
+  for (const auto& order : {identity, reversed}) {
+    const std::uint64_t expected =
+        unreached(phasespace::FunctionalGraph::sweep(a, order));
+    for (unsigned workers = 1; workers <= 4; ++workers) {
+      const auto census = census_at(a, workers, order);
+      ASSERT_FALSE(census.truncated);
+      EXPECT_EQ(census.gardens, expected) << "workers=" << workers;
+    }
+  }
+  // The sweep map differs from the parallel one, and so does its census.
+  EXPECT_NE(census_at(a, 1, identity).gardens, census_at(a, 1).gardens);
+}
+
+TEST(GoeCensusExplicit, ZeroCellAutomatonHasOneReachedState) {
+  // 2^0 = 1 state, which maps to itself: no Garden of Eden.
+  const auto a = Automaton::from_graph(graph::Graph(0, {}), rules::majority(),
+                                       Memory::kWith);
+  for (unsigned workers = 1; workers <= 4; ++workers) {
+    const auto census = census_at(a, workers);
+    ASSERT_FALSE(census.truncated);
+    EXPECT_EQ(census.gardens, 0u);
+    EXPECT_EQ(census.scanned, 1u);
+  }
 }
 
 TEST(GoeCensusExplicit, BudgetTruncationReportsNoGardenCount) {
   const std::size_t n = 12;
   const auto a = Automaton::line(n, 1, Boundary::kRing, rules::majority(),
                                  Memory::kWith);
+  for (unsigned workers = 1; workers <= 4; ++workers) {
+    runtime::RunBudget budget;
+    budget.max_states = 2000;  // < 2^12 sources
+    runtime::RunControl control(budget);
+    phasespace::ShardedBuildOptions options;
+    options.workers = workers;
+    options.shard_states = 64;
+    const auto census =
+        phasespace::count_gardens_of_eden(a, std::nullopt, options, control);
+    EXPECT_TRUE(census.truncated);
+    EXPECT_EQ(census.gardens, 0u);
+    EXPECT_LE(census.scanned, budget.max_states);
+    EXPECT_EQ(census.stop_reason, runtime::StopReason::kMaxStates);
+  }
+  // A byte budget below the 1-bit/state bitmap stops before any scan.
   runtime::RunBudget budget;
-  budget.max_states = 2000;  // < 2^12 sources
+  budget.max_bytes = 8;
   runtime::RunControl control(budget);
-  const auto census = phasespace::count_gardens_of_eden_explicit(a, control);
+  const auto census = phasespace::count_gardens_of_eden(
+      a, std::nullopt, phasespace::ShardedBuildOptions{}, control);
   EXPECT_TRUE(census.truncated);
   EXPECT_EQ(census.gardens, 0u);
-  EXPECT_LT(census.scanned, StateCode{1} << n);
-  EXPECT_EQ(census.stop_reason, runtime::StopReason::kMaxStates);
+  EXPECT_EQ(census.scanned, 0u);
+  EXPECT_EQ(census.stop_reason, runtime::StopReason::kMaxBytes);
 }
 
 /// RAII environment override for the TCA_BATCH_ISA dispatch tests.

@@ -73,7 +73,7 @@ TEST(Configuration, FromBitsRejectsOver64) {
 
 TEST(Configuration, ToBitsRejectsOver64) {
   Configuration c(70);
-  EXPECT_THROW(c.to_bits(), std::logic_error);
+  EXPECT_THROW((void)c.to_bits(), std::logic_error);
 }
 
 TEST(Configuration, ToBitsFullWord) {

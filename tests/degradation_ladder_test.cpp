@@ -1,14 +1,15 @@
 // Engine-degradation ladder differentials (docs/robustness.md): every
 // rung — wide-SIMD, 64-lane batch, scalar — must produce bit-identical
 // successor tables and Garden-of-Eden censuses over the property-based
-// generators, because a degraded result IS the result. The supervised
-// wrappers are then driven through injected memory pressure and composed
-// fault plans to prove the walk down the ladder recovers without
+// generators, because a degraded result IS the result. Supervised builds
+// and censuses are then driven through injected memory pressure and
+// composed fault plans to prove the walk down the ladder recovers without
 // changing a single bit.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "phasespace/functional_graph.hpp"
 #include "phasespace/preimage.hpp"
 #include "phasespace/sharded_build.hpp"
-#include "phasespace/supervised.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/error.hpp"
 #include "runtime/fault.hpp"
@@ -78,20 +78,29 @@ TEST(DegradationLadder, EveryRungBuildsTheIdenticalTable) {
 TEST(DegradationLadder, EveryRungCountsTheIdenticalGoeCensus) {
   for (std::uint64_t i = 0; i < 24; ++i) {
     const auto tc = ladder_case(i);
-    if (tc.n == 0) continue;
     const auto a = tc.automaton();
+    ShardedBuildOptions options;
+    options.rung = EngineRung::kScalar;
+    options.workers = 1;
     runtime::RunControl ref_control;
     const auto reference =
-        count_gardens_of_eden_explicit(a, ref_control, EngineRung::kScalar);
+        count_gardens_of_eden(a, std::nullopt, options, ref_control);
     ASSERT_FALSE(reference.truncated);
     for (const EngineRung rung : kAllRungs) {
-      runtime::RunControl control;
-      const auto census = count_gardens_of_eden_explicit(a, control, rung);
-      ASSERT_FALSE(census.truncated)
-          << "case " << i << " rung " << runtime::rung_name(rung);
-      EXPECT_EQ(census.gardens, reference.gardens)
-          << "case " << i << " rung " << runtime::rung_name(rung);
-      EXPECT_EQ(census.scanned, reference.scanned);
+      for (unsigned workers = 1; workers <= 4; ++workers) {
+        options.rung = rung;
+        options.workers = workers;
+        options.shard_states = 1 + i % 100;
+        runtime::RunControl control;
+        const auto census =
+            count_gardens_of_eden(a, std::nullopt, options, control);
+        ASSERT_FALSE(census.truncated)
+            << "case " << i << " rung " << runtime::rung_name(rung);
+        EXPECT_EQ(census.gardens, reference.gardens)
+            << "case " << i << " rung " << runtime::rung_name(rung)
+            << " workers " << workers;
+        EXPECT_EQ(census.scanned, reference.scanned);
+      }
     }
   }
 }
@@ -172,15 +181,30 @@ TEST(DegradationLadder, SupervisedCensusRecoversFromMemoryPressure) {
     const auto tc = ladder_case(i);
     if (tc.n == 0) continue;
     const auto a = tc.automaton();
-    const std::uint64_t reference = count_gardens_of_eden_explicit(a);
+    runtime::RunControl ref_control;
+    const std::uint64_t reference =
+        count_gardens_of_eden(a, std::nullopt, {}, ref_control).gardens;
 
+    // One census per attempt at the attempt's rung, as the service runs it.
     ScopedFaultPlan plan({.alloc_failure_at = 1});
-    const auto out = supervised_goe_census(a, fast_supervision());
-    EXPECT_EQ(out.report.state, runtime::SupervisedState::kCompleted)
+    runtime::Supervisor supervisor(fast_supervision());
+    GoeCensus census;
+    const auto report = supervisor.run(
+        "goe_census", [&](runtime::AttemptContext& ctx) {
+          ShardedBuildOptions options;
+          options.rung = ctx.rung;
+          census = count_gardens_of_eden(a, std::nullopt, options, ctx.control);
+          return census.truncated ? runtime::AttemptOutcome::kTruncated
+                                  : runtime::AttemptOutcome::kCompleted;
+        });
+    EXPECT_EQ(report.state, runtime::SupervisedState::kCompleted)
         << "case " << i;
-    EXPECT_TRUE(out.report.degraded);
-    EXPECT_FALSE(out.census.truncated);
-    EXPECT_EQ(out.census.gardens, reference) << "case " << i;
+    EXPECT_EQ(report.attempts, 2u);
+    EXPECT_TRUE(report.degraded);
+    EXPECT_EQ(report.final_rung, EngineRung::kBatch64)
+        << "one bad_alloc walks exactly one rung down";
+    EXPECT_FALSE(census.truncated);
+    EXPECT_EQ(census.gardens, reference) << "case " << i;
   }
 }
 

@@ -155,7 +155,7 @@ TEST(ChangeBound, SequentialRunsRespectTheBound) {
 
 TEST(EnergyErrors, SizeMismatchThrows) {
   const auto net = ThresholdNetwork::majority(graph::ring(6), true);
-  EXPECT_THROW(sequential_energy(net, Configuration(5)),
+  EXPECT_THROW((void)sequential_energy(net, Configuration(5)),
                std::invalid_argument);
 }
 

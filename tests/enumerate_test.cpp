@@ -2,13 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "rules/analyze.hpp"
 #include "rules/enumerate.hpp"
 
 namespace tca::rules {
 namespace {
+
+/// A truth table of at most 64 rows as a bitmask (bit i = row i), so
+/// tables compare as integers.
+std::uint64_t packed(const std::vector<State>& table) {
+  std::uint64_t bits = 0;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    bits |= std::uint64_t{table[i] != 0} << i;
+  }
+  return bits;
+}
 
 TEST(AllMonotoneSymmetric, CountIsArityPlusTwo) {
   EXPECT_EQ(all_monotone_symmetric(1).size(), 3u);
@@ -18,18 +30,18 @@ TEST(AllMonotoneSymmetric, CountIsArityPlusTwo) {
 
 TEST(AllMonotoneSymmetric, AllDistinct) {
   const auto rules = all_monotone_symmetric(4);
-  std::set<std::vector<State>> tables;
-  for (const auto& r : rules) tables.insert(truth_table(Rule{r}, 4));
+  std::set<std::uint64_t> tables;
+  for (const auto& r : rules) tables.insert(packed(truth_table(Rule{r}, 4)));
   EXPECT_EQ(tables.size(), rules.size());
 }
 
 TEST(AllMonotoneSymmetric, ContainsConstantsAndMajority) {
   const auto rules = all_monotone_symmetric(3);
-  std::set<std::vector<State>> tables;
-  for (const auto& r : rules) tables.insert(truth_table(Rule{r}, 3));
-  EXPECT_TRUE(tables.contains(truth_table(Rule{KOfNRule{0}}, 3)));
-  EXPECT_TRUE(tables.contains(truth_table(Rule{KOfNRule{9}}, 3)));
-  EXPECT_TRUE(tables.contains(truth_table(majority(), 3)));
+  std::set<std::uint64_t> tables;
+  for (const auto& r : rules) tables.insert(packed(truth_table(Rule{r}, 3)));
+  EXPECT_TRUE(tables.contains(packed(truth_table(Rule{KOfNRule{0}}, 3))));
+  EXPECT_TRUE(tables.contains(packed(truth_table(Rule{KOfNRule{9}}, 3))));
+  EXPECT_TRUE(tables.contains(packed(truth_table(majority(), 3))));
 }
 
 TEST(AllSymmetric, CountIsTwoToArityPlusOne) {
@@ -76,14 +88,14 @@ TEST(AllKOfN, CountAndSemantics) {
 // The classical identity: monotone symmetric = {constants} U {k-of-n}.
 TEST(ClassIdentity, MonotoneSymmetricEqualsThresholdFamily) {
   const std::uint32_t arity = 4;
-  std::set<std::vector<State>> from_enumeration;
+  std::set<std::uint64_t> from_enumeration;
   for (const auto& r : all_monotone_symmetric(arity)) {
-    from_enumeration.insert(truth_table(Rule{r}, arity));
+    from_enumeration.insert(packed(truth_table(Rule{r}, arity)));
   }
-  std::set<std::vector<State>> by_filter;
+  std::set<std::uint64_t> by_filter;
   for (const auto& r : all_symmetric(arity)) {
     const auto table = truth_table(Rule{r}, arity);
-    if (is_monotone(table)) by_filter.insert(table);
+    if (is_monotone(table)) by_filter.insert(packed(table));
   }
   EXPECT_EQ(from_enumeration, by_filter);
 }

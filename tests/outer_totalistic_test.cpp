@@ -56,9 +56,10 @@ TEST(OuterTotalistic, ValidationErrors) {
   auto r = game_of_life();
   r.self_index = 99;
   const std::vector<State> in(9, 0);
-  EXPECT_THROW(eval(Rule{r}, in), std::invalid_argument);
+  EXPECT_THROW((void)eval(Rule{r}, in), std::invalid_argument);
   const std::vector<State> wrong(5, 0);
-  EXPECT_THROW(eval(Rule{game_of_life()}, wrong), std::invalid_argument);
+  EXPECT_THROW((void)eval(Rule{game_of_life()}, wrong),
+               std::invalid_argument);
 }
 
 TEST(OuterTotalistic, RequiredArityAndDescribe) {

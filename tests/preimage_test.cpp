@@ -40,7 +40,7 @@ TEST(Preimage, RejectsBadArguments) {
   EXPECT_THROW(RingPreimageSolver(rules::majority(), 4, Memory::kWith),
                std::invalid_argument);
   const RingPreimageSolver solver(rules::majority(), 1, Memory::kWith);
-  EXPECT_THROW(solver.count(Configuration(2)), std::invalid_argument);
+  EXPECT_THROW((void)solver.count(Configuration(2)), std::invalid_argument);
 }
 
 // Counts must equal the in-degrees of the explicit phase space, for every
@@ -224,7 +224,8 @@ TEST(FixedPointCount, LargeRingLucasLikeGrowth) {
 
 TEST(FixedPointCount, RingTooSmallThrows) {
   const RingPreimageSolver solver(rules::majority(), 2, Memory::kWith);
-  EXPECT_THROW(count_fixed_points_ring(solver, 4), std::invalid_argument);
+  EXPECT_THROW((void)count_fixed_points_ring(solver, 4),
+               std::invalid_argument);
 }
 
 TEST(PeriodTwoCount, MatchesExplicitCensus) {
@@ -279,7 +280,7 @@ TEST(PeriodTwoCount, ExactlyTwoCycleStatesOnHugeRings) {
 
 TEST(PeriodTwoCount, RejectsRadiusThree) {
   const RingPreimageSolver solver(rules::majority(), 3, Memory::kWith);
-  EXPECT_THROW(count_period_two_states_ring(solver, 16),
+  EXPECT_THROW((void)count_period_two_states_ring(solver, 16),
                std::invalid_argument);
 }
 

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -30,7 +31,7 @@
 #include <vector>
 
 #include "core/automaton.hpp"
-#include "phasespace/preimage.hpp"
+#include "phasespace/sharded_build.hpp"
 #include "runtime/ckpt_store.hpp"
 
 namespace {
@@ -53,8 +54,11 @@ std::string item_line(int item) {
   const auto a = tca::core::Automaton::line(
       n, 1, tca::core::Boundary::kRing, tca::rules::majority(),
       tca::core::Memory::kWith);
+  tca::runtime::RunControl control;
   const std::uint64_t gardens =
-      tca::phasespace::count_gardens_of_eden_explicit(a);
+      tca::phasespace::count_gardens_of_eden(
+          a, std::nullopt, tca::phasespace::ShardedBuildOptions{}, control)
+          .gardens;
   std::ostringstream line;
   line << "n=" << n << "|gardens=" << gardens;
   return line.str();

@@ -3,7 +3,7 @@
 // order, disk round-trip, quarantine-on-corrupt), the request
 // coalescer ("N identical concurrent requests start exactly one engine
 // build", counter-asserted), resumable large-n builds under a ckpt dir,
-// and the handler's error envelope.
+// GoE censuses that keep nothing to resume, and the handler's envelopes.
 //
 // Every test that touches disk gets its own unique temp directory —
 // the suite must stay safe under `ctest -j`.
@@ -20,7 +20,10 @@
 
 #include <unistd.h>
 
+#include "core/automaton.hpp"
 #include "obs/metrics.hpp"
+#include "phasespace/classify.hpp"
+#include "phasespace/functional_graph.hpp"
 #include "phasespace/sharded_build.hpp"
 #include "service/cache.hpp"
 #include "service/engine.hpp"
@@ -402,6 +405,51 @@ TEST(EngineSmallN, SmallBuildsLeaveNothingUnderTheCkptDir) {
   }
 }
 
+// GoE censuses keep no table: with a ckpt dir and above small_n_bits, of
+// either scheme, truncated or complete, they spill nothing under
+// ckpt_dir/store/, resume nothing, and answer what classify counts.
+TEST(EngineGoeCensus, NeitherSchemeSpillsOrResumes) {
+  const TempDir dir;
+  EngineOptions options;
+  options.ckpt_dir = dir.str() + "/ckpt";
+  QueryEngine engine(options);
+  const fs::path store = fs::path(options.ckpt_dir) / "store";
+  const auto spilled = [&] {
+    std::error_code ec;
+    return fs::exists(store, ec) && !fs::is_empty(store, ec);
+  };
+  for (const char* json : {
+           R"({"kind":"goe-census","n":18,"radius":1,"rule":"majority",)"
+           R"("topology":"ring"})",
+           R"({"kind":"goe-census","n":18,"radius":2,"rule":"parity",)"
+           R"("topology":"line","scheme":"sweep"})",
+       }) {
+    SCOPED_TRACE(json);
+    const ServiceQuery q = query_from(json);
+    ASSERT_GT(q.n, options.small_n_bits);
+    RequestBudget budget;
+    budget.max_states = 100000;
+    const QueryOutcome cut = engine.execute(q, budget, {});
+    ASSERT_EQ(cut.status, QueryOutcome::Status::kTruncated) << cut.error;
+    EXPECT_EQ(cut.stop_reason, runtime::StopReason::kMaxStates);
+    EXPECT_EQ(cut.states_done, 0u) << "nothing is kept for a resume";
+    EXPECT_FALSE(spilled());
+
+    const QueryOutcome full = engine.execute(q, RequestBudget{}, {});
+    ASSERT_TRUE(full.ok()) << full.error;
+    EXPECT_FALSE(full.resumed);
+    EXPECT_FALSE(spilled());
+    const core::Automaton a = q.automaton();
+    const phasespace::FunctionalGraph fg =
+        q.scheme == Scheme::kSweep
+            ? phasespace::FunctionalGraph::sweep(a, q.effective_order())
+            : phasespace::FunctionalGraph::synchronous(a);
+    EXPECT_EQ(full.result.gardens,
+              phasespace::classify(fg).num_gardens_of_eden);
+    EXPECT_EQ(full.result.scanned, fg.num_states());
+  }
+}
+
 // ---------------------------------------------------------------------
 // Handler error envelope
 // ---------------------------------------------------------------------
@@ -421,6 +469,23 @@ TEST(Handler, MalformedRequestsBecomeErrorResponses) {
     EXPECT_NE(v.find("error"), nullptr) << bad;
   }
   EXPECT_EQ(handler.active_requests(), 0u);
+}
+
+// A truncated answer claims "resumable" only when a resumable kDisk build
+// kept whole shards. Without a ckpt dir nothing is kept, whatever the
+// query kind, so states_done is 0.
+TEST(Handler, TruncatedAnswersWithoutCkptDirAreNotResumable) {
+  RequestHandler handler(HandlerOptions{});
+  for (const std::string kind : {"attractor-summary", "goe-census"}) {
+    const std::string response = handler.handle(
+        R"({"op":"query","id":1,"query":{"kind":")" + kind +
+        R"(","n":20,"radius":1,"rule":"majority","topology":"ring"},)"
+        R"("budget":{"max_states":300000}})");
+    const JsonValue v = parse_json(response);
+    ASSERT_EQ(v.string_or("status", ""), "truncated") << response;
+    EXPECT_EQ(v.u64_or("states_done", 1), 0u) << response;
+    EXPECT_FALSE(v.bool_or("resumable", true)) << response;
+  }
 }
 
 TEST(Handler, CachedAnswerIsBitIdenticalToComputedAnswer) {

@@ -159,7 +159,7 @@ TEST(Machine, ValidatesBranchTarget) {
 }
 
 TEST(CountInterleavings, RejectsBranchingPrograms) {
-  EXPECT_THROW(count_interleavings(cas_level_example(1, 2)),
+  EXPECT_THROW((void)count_interleavings(cas_level_example(1, 2)),
                std::invalid_argument);
 }
 
