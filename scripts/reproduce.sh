@@ -12,20 +12,18 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 # --lint: run only the static-analysis stage (docs/static-analysis.md)
-# and exit. tca-lint needs no build; clang-tidy skips gracefully when it
-# is not installed (CI passes --require instead, so a missing tool can
+# and exit. The analyzer needs no build; clang-tidy skips gracefully when
+# it is not installed (CI passes --require instead, so a missing tool can
 # never silently pass there).
 if [ "${1:-}" = "--lint" ]; then
-  python3 scripts/tca_lint.py --self-test || exit 1
-  python3 scripts/tca_lint.py || exit 1
-  python3 scripts/run_clang_tidy.py --self-test || exit 1
-  python3 scripts/run_clang_tidy.py --diff-baseline || exit 1
-  # Concurrency analyzer: fixture/mutation self-test, then audit the
-  # tree against docs/memory_model.md and the committed zero baseline.
-  # The builtin frontend needs only python3; the libclang refinement is
-  # picked up automatically when the bindings are importable.
+  # Static analyzer: fixture/mutation self-test, then audit the tree
+  # against docs/memory_model.md, the project registries and the
+  # committed zero baseline. The builtin frontend needs only python3; the
+  # libclang refinement is picked up when the bindings are importable.
   python3 scripts/tca_analyze.py --self-test || exit 1
   python3 scripts/tca_analyze.py || exit 1
+  python3 scripts/run_clang_tidy.py --self-test || exit 1
+  python3 scripts/run_clang_tidy.py --diff-baseline || exit 1
   echo "reproduce.sh --lint: all static-analysis stages passed"
   exit 0
 fi

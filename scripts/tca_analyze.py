@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""tca_analyze — AST-grounded concurrency analyzer for the TCA tree.
+"""tca_analyze — the project's static analyzer for the TCA tree.
 
-Where tca_lint.py enforces per-line project invariants and clang-tidy
-runs off-the-shelf checks, this tool understands the *concurrency
-contracts* of the codebase: atomics and their memory orders, CAS retry
-idioms, condition-variable predicates, hot-path purity, and closure
-capture lifetimes. It is driven by the same build artifacts as
-run_clang_tidy.py (compile_commands.json names the translation units)
-and mirrors its baseline discipline: findings are fingerprinted, a
-committed baseline records the accepted set, and CI fails only on NEW
-findings.
+Where clang-tidy runs off-the-shelf checks, this tool understands the
+*contracts* of the codebase: atomics and their memory orders, CAS retry
+idioms, condition-variable predicates, hot-path purity, closure capture
+lifetimes, and the project rules no generic tool can express (error and
+output discipline, 2^n guards, trace spans, deterministic checkpoints).
+It is driven by the same build artifacts as run_clang_tidy.py
+(compile_commands.json names the translation units) and mirrors its
+baseline discipline: findings are fingerprinted, a committed baseline
+records the accepted set, and CI fails only on NEW findings.
 
 Frontends
 ---------
@@ -54,11 +54,28 @@ docs/memory_model.md for the ordering-contract table):
                      or allocation inside loops of TCA_HOT_PATH roots or
                      inside for_each_range lambdas (src/testing/ is
                      exempt from the implicit-root rule: oracles trade
-                     throughput for diagnostics by design).
+                     throughput for diagnostics by design);
+                     hot-path-root-stale       every HOT_PATH_ROOTS entry
+                     must cover exactly its count of discovered
+                     TCA_HOT_PATH roots, so the audit cannot silently
+                     lose coverage.
   capture-lifetime   capture-lifetime          no by-reference captures
                      handed to std::thread / thread vectors unless the
                      spawn site carries TCA_JOINED_BEFORE_SCOPE_EXIT;
                      detached threads are always findings.
+  project-rules      raw-throw       no `throw std::` in src/ (errors are
+                     tca::Error subclasses carrying an ErrorCode);
+                     raw-stdio       no printf/fprintf/puts/fputs in src/
+                     outside src/obs/ (diagnostics go through obs::log);
+                     checkpoint-det  no wall clock or randomness in
+                     src/runtime/ (resume must be bit-identical);
+                     explicit-bits   every EXPLICIT_BITS_ENTRIES function
+                     calls require_explicit_bits (or delegates);
+                     span-required   every SPAN_ENTRIES function opens a
+                     TCA_SPAN (or delegates). A registry entry whose file
+                     or definition is gone is a finding too. These rules
+                     read comment- and string-masked source with
+                     preprocessor lines kept, so a macro body counts.
 
 Suppression: `// tca-analyze: allow(<kind>) <reason>` on the finding
 line or in the comment run directly above it.
@@ -114,8 +131,10 @@ CHECKS = {
                 "contract-stale-row", "contract-malformed"),
     "cas-idiom": ("cas-single-order", "cas-reload-race"),
     "condvar-predicate": ("condvar-no-predicate-loop",),
-    "hot-path": ("hot-path-blocking",),
+    "hot-path": ("hot-path-blocking", "hot-path-root-stale"),
     "capture-lifetime": ("capture-lifetime",),
+    "project-rules": ("raw-throw", "raw-stdio", "checkpoint-det",
+                      "explicit-bits", "span-required"),
 }
 ALL_KINDS = tuple(k for kinds in CHECKS.values() for k in kinds)
 
@@ -135,51 +154,31 @@ def fnv1a64(text: str) -> str:
 # Builtin frontend: lexical model
 # --------------------------------------------------------------------------
 
-def mask_source(text: str) -> str:
-    """Blanks comments, string/char literals and preprocessor directives,
-    preserving offsets and newlines so line math survives."""
+def mask_source(text: str, keep_directives: bool = False) -> str:
+    """Blanks comments, string/char literals and (unless keep_directives)
+    preprocessor directives, preserving offsets and newlines so line math
+    survives."""
     out = list(text)
     n = len(text)
     i = 0
     state = "code"
     raw_delim = None
-    # Pre-blank preprocessor lines (incl. backslash continuations) so a
-    # `#define TCA_HOT_PATH ...` never reads as an annotation root.
-    line_start = 0
-    while line_start < n:
-        line_end = text.find("\n", line_start)
-        if line_end < 0:
-            line_end = n
-        if text[line_start:line_end].lstrip().startswith("#"):
-            end = line_end
-            while end < n and text[line_start:end].rstrip().endswith("\\"):
-                nxt = text.find("\n", end + 1)
-                end = n if nxt < 0 else nxt
-            for j in range(line_start, min(end, n)):
-                if text[j] != "\n":
-                    out[j] = " "
-            line_start = end + 1
-        else:
-            line_start = line_end + 1
-    masked_pp = "".join(out)
-    i = 0
     while i < n:
-        c = masked_pp[i]
+        c = text[i]
         if state == "code":
-            if c == "/" and i + 1 < n and masked_pp[i + 1] == "/":
+            if c == "/" and i + 1 < n and text[i + 1] == "/":
                 state = "line_comment"
                 out[i] = out[i + 1] = " "
                 i += 2
                 continue
-            if c == "/" and i + 1 < n and masked_pp[i + 1] == "*":
+            if c == "/" and i + 1 < n and text[i + 1] == "*":
                 state = "block_comment"
                 out[i] = out[i + 1] = " "
                 i += 2
                 continue
             if c == '"':
-                if i >= 1 and masked_pp[i - 1] == "R":
-                    m = re.match(r'R"([^(\s"\\]{0,16})\(',
-                                 masked_pp[i - 1:i + 20])
+                if i >= 1 and text[i - 1] == "R":
+                    m = re.match(r'R"([^(\s"\\]{0,16})\(', text[i - 1:i + 20])
                     if m:
                         raw_delim = ")" + m.group(1) + '"'
                         state = "raw_string"
@@ -191,7 +190,7 @@ def mask_source(text: str) -> str:
                 i += 1
                 continue
             if c == "'":
-                prev = masked_pp[i - 1] if i > 0 else ""
+                prev = text[i - 1] if i > 0 else ""
                 if prev.isalnum() or prev == "_":
                     i += 1  # digit separator (1'000) or suffix, not a char
                     continue
@@ -207,7 +206,7 @@ def mask_source(text: str) -> str:
                 out[i] = " "
             i += 1
         elif state == "block_comment":
-            if c == "*" and i + 1 < n and masked_pp[i + 1] == "/":
+            if c == "*" and i + 1 < n and text[i + 1] == "/":
                 out[i] = out[i + 1] = " "
                 state = "code"
                 i += 2
@@ -219,19 +218,21 @@ def mask_source(text: str) -> str:
             quote = '"' if state == "string" else "'"
             if c == "\\" and i + 1 < n:
                 out[i] = " "
-                if masked_pp[i + 1] != "\n":
+                if text[i + 1] != "\n":
                     out[i + 1] = " "
                 i += 2
                 continue
-            if c == quote:
-                out[i] = " "
-                state = "code"
-            else:
+            if c == quote or c == "\n":
+                # An unescaped newline ends an unterminated literal (an
+                # apostrophe in `#error don't`), so it cannot run away.
                 if c != "\n":
                     out[i] = " "
+                state = "code"
+            else:
+                out[i] = " "
             i += 1
         elif state == "raw_string":
-            if masked_pp.startswith(raw_delim, i):
+            if text.startswith(raw_delim, i):
                 for j in range(i, i + len(raw_delim)):
                     out[j] = " "
                 i += len(raw_delim)
@@ -240,6 +241,32 @@ def mask_source(text: str) -> str:
             if c != "\n":
                 out[i] = " "
             i += 1
+    lex = "".join(out)
+    return lex if keep_directives else blank_directives(text, lex)
+
+
+def blank_directives(text: str, lex: str) -> str:
+    """Blanks the preprocessor lines (incl. backslash continuations) of
+    `lex`, the literal-masked `text`, so a `#define TCA_HOT_PATH ...`
+    never reads as an annotation root."""
+    out = list(lex)
+    n = len(text)
+    line_start = 0
+    while line_start < n:
+        line_end = text.find("\n", line_start)
+        if line_end < 0:
+            line_end = n
+        if lex[line_start:line_end].lstrip().startswith("#"):
+            end = line_end
+            while end < n and text[line_start:end].rstrip().endswith("\\"):
+                nxt = text.find("\n", end + 1)
+                end = n if nxt < 0 else nxt
+            for j in range(line_start, min(end, n)):
+                if text[j] != "\n":
+                    out[j] = " "
+            line_start = end + 1
+        else:
+            line_start = line_end + 1
     return "".join(out)
 
 
@@ -259,7 +286,8 @@ class Tok:
 class FileModel:
     relpath: str
     text: str
-    code: str
+    lex: str  # comments and literals masked, preprocessor lines kept
+    code: str  # lex with preprocessor lines masked too
     tokens: list
     line_starts: list
     match: dict  # open offset <-> close offset, for {} () []
@@ -289,7 +317,8 @@ REFLAMBDA_RE = re.compile(
 
 
 def build_model(relpath: str, text: str) -> FileModel:
-    code = mask_source(text)
+    lex = mask_source(text, keep_directives=True)
+    code = blank_directives(text, lex)
     tokens = [Tok(m.group(0), m.start(), m.end())
               for m in TOKEN_RE.finditer(code)]
     line_starts = [0]
@@ -313,7 +342,8 @@ def build_model(relpath: str, text: str) -> FileModel:
                     brace_pairs.append((open_idx, idx))
     brace_pairs.sort()
     tok_at = {t.start: i for i, t in enumerate(tokens)}
-    model = FileModel(relpath=relpath, text=text, code=code, tokens=tokens,
+    model = FileModel(relpath=relpath, text=text, lex=lex, code=code,
+                      tokens=tokens,
                       line_starts=line_starts, match=match,
                       brace_pairs=brace_pairs, tok_at=tok_at)
     model.includes = INCLUDE_RE.findall(text)
@@ -762,6 +792,136 @@ def parse_contract_table(path: str):
 
 
 # --------------------------------------------------------------------------
+# Project registries (project-rules and hot-path-root-stale)
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EntryPoint:
+    file: str  # repo-relative
+    name: str  # regex matched immediately before '('
+    short: str  # plain function name, for delegation detection
+
+
+# Every explicit-enumeration entry point: allocates or iterates 2^n and
+# must refuse un-askable n with a budget-aware error instead of OOM.
+EXPLICIT_BITS_ENTRIES = (
+    EntryPoint("src/phasespace/functional_graph.cpp",
+               r"FunctionalGraph::FunctionalGraph", "FunctionalGraph"),
+    EntryPoint("src/phasespace/functional_graph.cpp",
+               r"FunctionalGraph::from_table", "from_table"),
+    EntryPoint("src/phasespace/functional_graph.cpp",
+               r"FunctionalGraph::synchronous\b", "synchronous"),
+    EntryPoint("src/phasespace/functional_graph.cpp",
+               r"FunctionalGraph::sweep\b", "sweep"),
+    EntryPoint("src/phasespace/preimage.cpp",
+               r"count_gardens_of_eden_ring", "count_gardens_of_eden_ring"),
+    EntryPoint("src/phasespace/sharded_build.cpp",
+               r"GoeCensus\s+count_gardens_of_eden\b",
+               "count_gardens_of_eden"),
+    EntryPoint("src/phasespace/sharded_build.cpp",
+               r"ShardedBuild\s+build_sharded", "build_sharded"),
+    EntryPoint("src/phasespace/choice_digraph.cpp",
+               r"ChoiceDigraph::ChoiceDigraph", "ChoiceDigraph"),
+    EntryPoint("src/rules/analyze.cpp",
+               r"truth_table", "truth_table"),
+    EntryPoint("src/rules/enumerate.cpp",
+               r"all_symmetric", "all_symmetric"),
+)
+
+# Every public engine entry: exponential wall-clock must show up as a
+# named span in chrome://tracing (docs/observability.md).
+SPAN_ENTRIES = (
+    EntryPoint("src/phasespace/functional_graph.cpp",
+               r"FunctionalGraph::FunctionalGraph", "FunctionalGraph"),
+    EntryPoint("src/phasespace/functional_graph.cpp",
+               r"FunctionalGraph::synchronous\b", "synchronous"),
+    EntryPoint("src/phasespace/functional_graph.cpp",
+               r"FunctionalGraph::sweep\b", "sweep"),
+    EntryPoint("src/phasespace/preimage.cpp",
+               r"count_gardens_of_eden_ring", "count_gardens_of_eden_ring"),
+    EntryPoint("src/phasespace/sharded_build.cpp",
+               r"GoeCensus\s+count_gardens_of_eden\b",
+               "count_gardens_of_eden"),
+    EntryPoint("src/phasespace/sharded_build.cpp",
+               r"ShardedBuild\s+build_sharded", "build_sharded"),
+    EntryPoint("src/aca/explorer.cpp", r"ReachSet\s+explore", "explore"),
+    EntryPoint("src/interleave/explorer.cpp",
+               r"interleaving_outcomes", "interleaving_outcomes"),
+    EntryPoint("src/runtime/checkpoint.cpp",
+               r"void\s+save_checkpoint", "save_checkpoint"),
+    EntryPoint("src/runtime/checkpoint.cpp",
+               r"Checkpoint\s+load_checkpoint", "load_checkpoint"),
+)
+
+CHECKPOINT_DET_SCOPE = "src/runtime/"
+
+# Registry of TCA_HOT_PATH-annotated roots (src/core/contracts.hpp).
+# The hot-path check audits the loops under these for blocking
+# constructs; this registry pins each annotation in place so removing
+# one is a visible config change, not silent coverage loss. Format:
+# (repo-relative file, regex over the masked code, how many discovered
+# roots' TCA_HOT_PATH tokens it covers) — the count pins each of
+# classify's four phase lambdas, not just one of them.
+HOT_PATH_ROOTS = (
+    ("src/core/thread_pool.cpp",
+     r"TCA_HOT_PATH\s+void\s+ThreadPool::drain\b", 1),
+    ("src/core/batch_kernels.cpp",
+     r"TCA_HOT_PATH\s+void\s+BatchStepper::step\b", 1),
+    ("src/core/batch_kernels.cpp",
+     r"TCA_HOT_PATH\s+void\s+BatchStepper::sweep\b", 1),
+    ("src/core/batch_kernels_impl.hpp",
+     r"TCA_HOT_PATH\s+void\s+step\b", 1),
+    ("src/core/batch_kernels_impl.hpp",
+     r"TCA_HOT_PATH\s+void\s+sweep\b", 1),
+    ("src/core/batch_kernels_impl.hpp",
+     r"TCA_HOT_PATH\s+void\s+step_code_range\b", 1),
+    ("src/core/batch_kernels_impl.hpp",
+     r"TCA_HOT_PATH\s+void\s+sweep_code_range\b", 1),
+    ("src/phasespace/sharded_build.cpp",
+     r"\(unsigned\s+worker_id\)\s*TCA_HOT_PATH\s*\{", 1),
+    ("src/phasespace/classify.cpp",
+     r"\(std::size_t\s+b,\s*std::size_t\s+e\)\s*TCA_HOT_PATH\s*\{", 4),
+    ("src/phasespace/successor_store.cpp",
+     r"TCA_HOT_PATH\s+inline\s+void\s+merge_word\b", 1),
+    ("src/phasespace/successor_store.cpp",
+     r"TCA_HOT_PATH\s+void\s+FlatStore::put_range\b", 1),
+    ("src/phasespace/successor_store.cpp",
+     r"TCA_HOT_PATH\s+void\s+PackedStore::put_range\b", 1),
+)
+
+# Line rules, matched on comment/literal-masked source with preprocessor
+# lines kept: (kind, pattern, path scope, exempt prefixes, message).
+GREP_RULES = (
+    ("raw-throw", re.compile(r"\bthrow\s+std\s*::"), "src/", (),
+     "raw std:: exception — throw a tca::Error subclass "
+     "(src/runtime/error.hpp) so the failure carries an ErrorCode"),
+    ("raw-stdio",
+     re.compile(r"(?<![\w.])(?:std\s*::\s*)?(?:fprintf|printf|puts|fputs)"
+                r"\s*\("),
+     "src/", ("src/obs/",),
+     "raw stdio output — emit a structured event via obs::log_event "
+     "(obs/log.hpp) instead"),
+    ("checkpoint-det",
+     re.compile(r"system_clock|random_device|\bstd::rand\b|\bsrand\b|"
+                r"\blocaltime\b|\bgmtime\b|\btime\s*\(\s*(?:NULL|nullptr|0)?"
+                r"\s*\)"),
+     CHECKPOINT_DET_SCOPE, (),
+     "wall-clock / randomness in a checkpointed path — resume must be "
+     "deterministic; use steady_clock or plumb entropy in explicitly"),
+)
+
+# Required-call rules: (kind, registry, call every entry must make).
+REQUIRED_CALLS = (
+    ("explicit-bits", EXPLICIT_BITS_ENTRIES, "require_explicit_bits",
+     "explicit-enumeration entry point must call "
+     "tca::require_explicit_bits before allocating 2^n state"),
+    ("span-required", SPAN_ENTRIES, "TCA_SPAN",
+     "public engine entry must open a TCA_SPAN "
+     "(obs/trace.hpp) so its wall-clock is attributable"),
+)
+
+
+# --------------------------------------------------------------------------
 # Check implementations
 # --------------------------------------------------------------------------
 
@@ -1030,11 +1190,15 @@ def _in_predicate_loop(model: FileModel, wait_tok: int) -> bool:
     return False
 
 
-def check_hot_path(universe: Universe, enabled_kinds) -> list:
+def check_hot_path(universe: Universe, enabled_kinds,
+                   registry=HOT_PATH_ROOTS) -> list:
     findings = []
+    annotated = {}  # relpath -> offsets of TCA_HOT_PATH roots with a body
     for relpath, model in sorted(universe.models.items()):
         roots = _hot_roots(model)
-        for root_start, root_end, root_desc, whole_body in roots:
+        annotated[relpath] = [model.tokens[r[4]].start for r in roots
+                              if r[2] == "TCA_HOT_PATH"]
+        for root_start, root_end, root_desc, whole_body, _ in roots:
             regions = ([(root_start, root_end)] if whole_body
                        else _loop_regions(model, root_start, root_end))
             flagged_lines = set()
@@ -1051,13 +1215,43 @@ def check_hot_path(universe: Universe, enabled_kinds) -> list:
                         message=f"{what} inside a {root_desc} hot loop — "
                                 "hoist it to setup or move it to the "
                                 "cold path"))
+    for relpath, pattern, want in registry:
+        model = _pinned(universe, relpath, "hot-path-root-stale", pattern,
+                        findings)
+        if model is None:
+            continue
+        got = sum(m.start() <= at < m.end()
+                  for m in re.finditer(pattern, model.code)
+                  for at in annotated[relpath])
+        if got != want:
+            findings.append(Finding(
+                kind="hot-path-root-stale", file=relpath, line=0,
+                symbol=pattern,
+                message=f"registered hot-path root /{pattern}/ covers {got} "
+                        f"TCA_HOT_PATH root(s), not {want} — restore the "
+                        "annotation or update HOT_PATH_ROOTS"))
     return [f for f in findings if f.kind in enabled_kinds]
 
 
+def _pinned(universe: Universe, relpath: str, kind: str, symbol: str,
+            findings: list):
+    """The analyzed model of a file a registry entry pins. A file gone
+    from the tree makes the entry stale (a finding); one outside an
+    explicit-paths run is skipped."""
+    model = universe.models.get(relpath)
+    if model is None and not os.path.isfile(
+            os.path.join(universe.root, relpath)):
+        findings.append(Finding(
+            kind=kind, file=relpath, line=0, symbol=symbol,
+            message="registry entry names a file that no longer exists — "
+                    "update the registry in scripts/tca_analyze.py"))
+    return model
+
+
 def _hot_roots(model: FileModel) -> list:
-    """(body_start_tok, body_end_tok, description, whole_body) for each
-    TCA_HOT_PATH annotation and (outside src/testing/) each lambda passed
-    to for_each_range."""
+    """(body_start_tok, body_end_tok, description, whole_body, anchor_tok)
+    for each TCA_HOT_PATH annotation and (outside src/testing/) each
+    lambda passed to for_each_range."""
     roots = []
     toks = model.tokens
     for i, tok in enumerate(toks):
@@ -1073,7 +1267,8 @@ def _hot_roots(model: FileModel) -> list:
                 elif t == "{" and depth == 0:
                     close = model.match.get(j)
                     if close is not None:
-                        roots.append((j + 1, close, "TCA_HOT_PATH", False))
+                        roots.append((j + 1, close, "TCA_HOT_PATH", False,
+                                      i))
                     break
                 elif t == ";" and depth == 0:
                     break  # annotation on a declaration
@@ -1106,7 +1301,7 @@ def _hot_roots(model: FileModel) -> list:
                             if body_close is not None:
                                 roots.append((k + 1, body_close,
                                               "for_each_range lambda",
-                                              True))
+                                              True, i))
                             k = close
                             break
                         k += 1
@@ -1299,6 +1494,66 @@ def _has_join_marker(model: FileModel, line: int) -> bool:
     return False
 
 
+def check_project_rules(universe: Universe, enabled_kinds) -> list:
+    findings = []
+    for relpath, model in sorted(universe.models.items()):
+        for kind, pattern, scope, exempt, message in GREP_RULES:
+            if not relpath.startswith(scope) or relpath.startswith(exempt):
+                continue
+            for m in pattern.finditer(model.lex):
+                line = model.line_of(m.start())
+                if not _suppressed(model, line, kind):
+                    findings.append(Finding(
+                        kind=kind, file=relpath, line=line,
+                        symbol=" ".join(m.group(0).split()),
+                        message=message))
+    for kind, entries, required, message in REQUIRED_CALLS:
+        for entry in entries:
+            model = _pinned(universe, entry.file, kind, entry.short,
+                            findings)
+            if model is None:
+                continue
+            bodies = function_bodies(model, entry.name)
+            if not bodies:
+                findings.append(Finding(
+                    kind=kind, file=entry.file, line=0, symbol=entry.short,
+                    message=f"entry point /{entry.name}/ has no definition "
+                            "— update the registry in "
+                            "scripts/tca_analyze.py"))
+            toks = model.tokens
+            for line, open_idx, close_idx in bodies:
+                # The body makes the call itself or delegates to an
+                # overload that does.
+                if any(toks[k].text in (required, entry.short)
+                       and toks[k + 1].text == "("
+                       for k in range(open_idx + 1, close_idx)):
+                    continue
+                if not _suppressed(model, line, kind):
+                    findings.append(Finding(
+                        kind=kind, file=entry.file, line=line,
+                        symbol=entry.short,
+                        message=f"'{entry.short}': {message}"))
+    return [f for f in findings if f.kind in enabled_kinds]
+
+
+def function_bodies(model: FileModel, name_pattern: str) -> list:
+    """(line, open_tok, close_tok) of each definition whose signature
+    matches `name_pattern` right before its '(': a '{' follows the
+    argument list before any ';'."""
+    toks = model.tokens
+    out = []
+    for m in re.finditer(name_pattern + r"\s*\(", model.code):
+        close = model.match.get(model.tok_at.get(m.end() - 1))
+        if close is None:
+            continue
+        j = close + 1
+        while j < len(toks) and toks[j].text not in ("{", ";"):
+            j += 1
+        if j < len(toks) and toks[j].text == "{" and j in model.match:
+            out.append((model.line_of(m.start()), j, model.match[j]))
+    return out
+
+
 # --------------------------------------------------------------------------
 # Optional libclang refinement
 # --------------------------------------------------------------------------
@@ -1402,7 +1657,7 @@ def tree_files(root: str) -> list:
     out = []
     for base, _dirs, names in os.walk(os.path.join(root, "src")):
         for name in sorted(names):
-            if name.endswith((".hpp", ".cpp", ".h")):
+            if name.endswith((".hpp", ".cpp", ".h", ".hpp.in")):
                 rel = os.path.relpath(os.path.join(base, name), root)
                 out.append(rel.replace(os.sep, "/"))
     return sorted(out)
@@ -1433,6 +1688,7 @@ def analyze(root: str, files: list, contract_path,
     findings += check_condvar(universe, enabled)
     findings += check_hot_path(universe, enabled)
     findings += check_capture_lifetime(universe, enabled)
+    findings += check_project_rules(universe, enabled)
     findings.sort(key=lambda f: (f.file, f.line, f.kind))
     fingerprint_findings(findings)
     return findings
@@ -1446,14 +1702,92 @@ def _fixture(name: str) -> str:
     return os.path.join(FIXTURE_DIR, name)
 
 
-def self_test(root: str) -> int:
+_TRUTH_TABLE = ("std::vector<State> truth_table(const Rule& r, "
+                "std::uint32_t arity) {\n")
+_GUARDED = "  tca::require_explicit_bits(arity, 20, \"truth_table\");\n"
+_SAVE = "void save_checkpoint(const std::string& p, const Checkpoint& c) {\n"
+_LOAD = ("Checkpoint load_checkpoint(const std::string& p) {\n"
+         "  TCA_SPAN(\"checkpoint_load\");\n  return read(p);\n}\n")
+
+# Project-rule fixtures: (kind, path the rule sees, source, must fire).
+# A rule that misses a bad fixture has rotted; one that fires on a good
+# fixture generates false positives.
+PROJECT_FIXTURES = (
+    ("raw-throw", "src/core/x.cpp",
+     'void f() { throw std::runtime_error("boom"); }\n', True),
+    ("raw-throw", "src/core/x.cpp",
+     '#define FAIL(m) \\\n  throw std::logic_error(m)\n', True),
+    ("raw-throw", "src/core/x.cpp",
+     'void f() { throw tca::RuntimeError("boom", code); }\n', False),
+    ("raw-throw", "src/core/x.cpp",
+     "// tca-analyze: allow(raw-throw) must look like the real thing\n"
+     "void f() { throw std::bad_alloc(); }\n", False),
+    ("raw-stdio", "src/core/x.cpp",
+     'void f() { std::fprintf(stderr, "x"); }\n', True),
+    ("raw-stdio", "src/aca/y.cpp", 'void f() { printf("x"); }\n', True),
+    ("raw-stdio", "src/aca/y.cpp",
+     'void f() { printf("x"); }  // progress line\n', True),
+    ("raw-stdio", "src/obs/sink.cpp",
+     'void f() { std::fprintf(stderr, "x"); }\n', False),
+    ("raw-stdio", "src/core/x.cpp",
+     'void f() { std::snprintf(buf, sizeof buf, "%d", v); }\n', False),
+    ("raw-stdio", "src/core/x.cpp",
+     "// tca-analyze: allow(raw-stdio) pre-main, sink unavailable\n"
+     'void f() { std::fprintf(stderr, "x"); }\n', False),
+    ("explicit-bits", "src/rules/analyze.cpp",
+     _TRUTH_TABLE + "  return make_table(r, arity);\n}\n", True),
+    ("explicit-bits", "src/rules/analyze.cpp",
+     _TRUTH_TABLE + _GUARDED + "  return make_table(r, arity);\n}\n", False),
+    # Delegating overloads funnel into the checked definition.
+    ("explicit-bits", "src/rules/analyze.cpp",
+     "std::vector<State> truth_table(const Rule& r) {\n"
+     "  return truth_table(r, default_arity(r));\n}\n" + _TRUTH_TABLE +
+     _GUARDED + "  return make_table(r, arity);\n}\n", False),
+    # A registered entry point with no definition is a stale registry.
+    ("explicit-bits", "src/rules/analyze.cpp", "int unrelated;\n", True),
+    ("span-required", "src/runtime/checkpoint.cpp",
+     _SAVE + "  write(p, c);\n}\n" + _LOAD, True),
+    ("span-required", "src/runtime/checkpoint.cpp",
+     _SAVE + "  TCA_SPAN(\"checkpoint_save\");\n  write(p, c);\n}\n" + _LOAD,
+     False),
+    ("checkpoint-det", "src/runtime/x.cpp",
+     "auto t = std::chrono::system_clock::now();\n", True),
+    ("checkpoint-det", "src/runtime/x.cpp", "std::random_device rd;\n", True),
+    ("checkpoint-det", "src/runtime/x.cpp",
+     "auto t = std::chrono::steady_clock::now();\n", False),
+    # Outside src/runtime/ wall-clock is fine (log timestamps).
+    ("checkpoint-det", "src/obs/log.cpp",
+     "auto t = std::chrono::system_clock::now();\n", False),
+    ("checkpoint-det", "src/runtime/x.cpp",
+     "// tca-analyze: allow(checkpoint-det) manifest stamp only\n"
+     "auto t = std::chrono::system_clock::now();\n", False),
+)
+
+
+def _virtual_universe(root: str, files: dict) -> Universe:
+    """A universe of in-memory sources rooted where no src/ exists, so
+    registry entries for files it lacks read as missing."""
+    universe = Universe(os.path.join(root, FIXTURE_DIR))
+    for relpath, text in files.items():
+        universe.models[relpath] = build_model(relpath, text)
+    return universe
+
+
+def self_test(root: str, checks=None) -> int:
+    """Prove every check fires on its bad fixtures and stays quiet on the
+    good ones; `checks` limits the run to those check groups."""
     import shutil
     import tempfile
 
     failures = []
 
+    def want(name):
+        return checks is None or name in checks
+
     def expect(label, files, contract, expected_kinds, checks=None,
                tmp_root=None):
+        if checks and not any(want(c) for c in checks):
+            return []
         found = analyze(tmp_root or root, files, contract, checks=checks)
         kinds = {f.kind for f in found}
         if kinds != set(expected_kinds):
@@ -1468,11 +1802,16 @@ def self_test(root: str) -> int:
                                   _fixture("atomics_contract_stale.md"))
 
     # Each check fires on its bad fixture and stays silent on the good.
-    expect("atomics/bad",
-           [_fixture("atomics_bad.cpp"), _fixture("atomics_good.cpp")],
-           stale_contract,
-           ["atomic-implicit-order", "atomic-unregistered-order",
-            "contract-stale-row"], checks=["atomics"])
+    found = expect("atomics/bad",
+                   [_fixture("atomics_bad.cpp"),
+                    _fixture("atomics_good.cpp")],
+                   stale_contract,
+                   ["atomic-implicit-order", "atomic-unregistered-order",
+                    "contract-stale-row"], checks=["atomics"])
+    if want("atomics") and not any("not in the analyzed tree" in f.message
+                                   for f in found):
+        failures.append("atomics/bad: a contract row naming a deleted "
+                        "file must be reported stale")
     expect("atomics/good", [_fixture("atomics_good.cpp")],
            fixture_contract, [], checks=["atomics"])
     expect("cas/bad", [_fixture("cas_bad.cpp")], None,
@@ -1492,75 +1831,110 @@ def self_test(root: str) -> int:
     expect("capture/good", [_fixture("capture_good.cpp")], None, [],
            checks=["capture-lifetime"])
 
-    # Mutation test 1: dropping the row that registers the good
-    # fixture's relaxed site must break the cross-verify.
-    with open(fixture_contract, "r", encoding="utf-8") as fh:
-        contract_lines = fh.readlines()
-    good_rows = [i for i, l in enumerate(contract_lines)
-                 if l.lstrip().startswith("|")
-                 and "atomics_good.cpp" in l]
-    if not good_rows:
-        failures.append("mutation: atomics_contract.md has no row for "
-                        "atomics_good.cpp to drop")
-    else:
-        tmp = tempfile.mkdtemp(prefix="tca_analyze_selftest_")
-        try:
-            fx_dst = os.path.join(tmp, FIXTURE_DIR)
-            os.makedirs(fx_dst)
-            for name in os.listdir(os.path.join(root, FIXTURE_DIR)):
-                shutil.copy(os.path.join(root, FIXTURE_DIR, name),
-                            os.path.join(fx_dst, name))
-            mutated = os.path.join(tmp, "contract_dropped.md")
-            with open(mutated, "w", encoding="utf-8") as fh:
-                fh.writelines(l for i, l in enumerate(contract_lines)
-                              if i != good_rows[0])
-            expect("mutation/dropped-row",
-                   [_fixture("atomics_good.cpp")], mutated,
-                   ["atomic-unregistered-order"], checks=["atomics"],
-                   tmp_root=tmp)
-            # Mutation test 2: corrupting the registered order (relaxed ->
-            # acquire) must fire BOTH directions: the relaxed site is now
-            # unregistered and the acquire row is stale.
-            corrupted = os.path.join(tmp, "contract_corrupted.md")
-            with open(corrupted, "w", encoding="utf-8") as fh:
-                for i, l in enumerate(contract_lines):
-                    fh.write(l.replace("relaxed", "acquire")
-                             if i == good_rows[0] else l)
-            expect("mutation/corrupted-order",
-                   [_fixture("atomics_good.cpp")], corrupted,
-                   ["atomic-unregistered-order", "contract-stale-row"],
-                   checks=["atomics"], tmp_root=tmp)
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
+    if want("project-rules"):
+        for kind, relpath, text, bad in PROJECT_FIXTURES:
+            hits = [f for f in check_project_rules(
+                        _virtual_universe(root, {relpath: text}), {kind})
+                    if f.file == relpath]
+            if bad != bool(hits):
+                failures.append(
+                    f"{kind}: {'missed bad' if bad else 'fired on good'} "
+                    f"fixture {relpath}:\n  {text.strip()}")
 
-    # Mutation test 3: the real tree's table is load-bearing — dropping
-    # its first data row must produce a finding against the live tree.
-    real_contract = os.path.join(root, DEFAULT_CONTRACT)
-    if os.path.isfile(real_contract):
-        rows, _ = parse_contract_table(real_contract)
-        if rows:
-            with open(real_contract, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-            tmp_table = tempfile.NamedTemporaryFile(
-                "w", suffix=".md", delete=False, encoding="utf-8")
-            try:
-                tmp_table.writelines(
-                    l for i, l in enumerate(lines, start=1)
-                    if i != rows[0].line)
-                tmp_table.close()
-                found = analyze(root, tree_files(root), tmp_table.name,
-                                checks=["atomics"])
-                if not any(f.kind == "atomic-unregistered-order"
-                           for f in found):
-                    failures.append(
-                        "mutation/tree-table: dropping the first contract "
-                        "row produced no atomic-unregistered-order "
-                        "finding — the cross-verify is not load-bearing")
-            finally:
-                os.unlink(tmp_table.name)
+    if want("hot-path"):
+        # The hot-path registry holds while its pattern covers as many
+        # discovered roots as it says; one stripped annotation,
+        # annotations on declarations only, or a deleted file make the
+        # entry stale.
+        registry = (("src/core/x.cpp", r"TCA_HOT_PATH\s+void\s+step\w*",
+                     2),)
+        live = ("TCA_HOT_PATH void step(int* p) { ++*p; }\n"
+                "TCA_HOT_PATH void step2(int* p) { --*p; }\n")
+        for label, files, stale in (
+                ("live", {"src/core/x.cpp": live}, False),
+                ("stripped", {"src/core/x.cpp":
+                              live.replace("TCA_HOT_PATH ", "", 1)}, True),
+                ("declaration",
+                 {"src/core/x.cpp": "TCA_HOT_PATH void step(int* p);\n"
+                                    "TCA_HOT_PATH void step2(int* p);\n"},
+                 True),
+                ("missing-file", {}, True)):
+            hits = check_hot_path(_virtual_universe(root, files),
+                                  {"hot-path-root-stale"}, registry)
+            if stale != bool(hits):
+                failures.append(f"hot-path registry/{label}: expected "
+                                f"{'a' if stale else 'no'} stale finding")
+
+    if want("atomics"):
+        # Mutation test 1: dropping the row that registers the good
+        # fixture's relaxed site must break the cross-verify.
+        with open(fixture_contract, "r", encoding="utf-8") as fh:
+            contract_lines = fh.readlines()
+        good_rows = [i for i, l in enumerate(contract_lines)
+                     if l.lstrip().startswith("|")
+                     and "atomics_good.cpp" in l]
+        if not good_rows:
+            failures.append("mutation: atomics_contract.md has no row for "
+                            "atomics_good.cpp to drop")
         else:
-            failures.append("mutation/tree-table: docs/memory_model.md "
-                            "has no parseable contract rows")
+            tmp = tempfile.mkdtemp(prefix="tca_analyze_selftest_")
+            try:
+                fx_dst = os.path.join(tmp, FIXTURE_DIR)
+                os.makedirs(fx_dst)
+                for name in os.listdir(os.path.join(root, FIXTURE_DIR)):
+                    shutil.copy(os.path.join(root, FIXTURE_DIR, name),
+                                os.path.join(fx_dst, name))
+                mutated = os.path.join(tmp, "contract_dropped.md")
+                with open(mutated, "w", encoding="utf-8") as fh:
+                    fh.writelines(l for i, l in enumerate(contract_lines)
+                                  if i != good_rows[0])
+                expect("mutation/dropped-row",
+                       [_fixture("atomics_good.cpp")], mutated,
+                       ["atomic-unregistered-order"], checks=["atomics"],
+                       tmp_root=tmp)
+                # Mutation test 2: corrupting the registered order (relaxed ->
+                # acquire) must fire BOTH directions: the relaxed site is now
+                # unregistered and the acquire row is stale.
+                corrupted = os.path.join(tmp, "contract_corrupted.md")
+                with open(corrupted, "w", encoding="utf-8") as fh:
+                    for i, l in enumerate(contract_lines):
+                        fh.write(l.replace("relaxed", "acquire")
+                                 if i == good_rows[0] else l)
+                expect("mutation/corrupted-order",
+                       [_fixture("atomics_good.cpp")], corrupted,
+                       ["atomic-unregistered-order", "contract-stale-row"],
+                       checks=["atomics"], tmp_root=tmp)
+            finally:
+                shutil.rmtree(tmp, ignore_errors=True)
+
+        # Mutation test 3: the real tree's table is load-bearing — dropping
+        # its first data row must produce a finding against the live tree.
+        real_contract = os.path.join(root, DEFAULT_CONTRACT)
+        if os.path.isfile(real_contract):
+            rows, _ = parse_contract_table(real_contract)
+            if rows:
+                with open(real_contract, "r", encoding="utf-8") as fh:
+                    lines = fh.readlines()
+                tmp_table = tempfile.NamedTemporaryFile(
+                    "w", suffix=".md", delete=False, encoding="utf-8")
+                try:
+                    tmp_table.writelines(
+                        l for i, l in enumerate(lines, start=1)
+                        if i != rows[0].line)
+                    tmp_table.close()
+                    found = analyze(root, tree_files(root), tmp_table.name,
+                                    checks=["atomics"])
+                    if not any(f.kind == "atomic-unregistered-order"
+                               for f in found):
+                        failures.append(
+                            "mutation/tree-table: dropping the first contract "
+                            "row produced no atomic-unregistered-order "
+                            "finding — the cross-verify is not load-bearing")
+                finally:
+                    os.unlink(tmp_table.name)
+            else:
+                failures.append("mutation/tree-table: docs/memory_model.md "
+                                "has no parseable contract rows")
 
     # Suppression honored + fingerprints stable across runs.
     first = analyze(root, [_fixture("cas_bad.cpp")], None,
@@ -1590,9 +1964,13 @@ def self_test(root: str) -> int:
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         return 1
-    print(f"tca_analyze --self-test OK ({len(CHECKS)} checks, "
-          f"{len(ALL_KINDS)} finding kinds, fixtures + contract mutations "
-          "verified)")
+    if checks is None:
+        print(f"tca_analyze --self-test OK ({len(CHECKS)} checks, "
+              f"{len(ALL_KINDS)} finding kinds, {len(PROJECT_FIXTURES)} "
+              "project-rule fixtures, contract mutations verified)")
+    else:
+        print(f"tca_analyze --self-test OK (checks: "
+              f"{', '.join(sorted(set(checks)))})")
     return 0
 
 
@@ -1639,7 +2017,11 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
 
     if args.self_test:
-        return self_test(root)
+        return self_test(root, args.checks)
+    if args.update_baseline and args.checks:
+        print("error: --update-baseline rewrites the whole baseline; run "
+              "it without --check", file=sys.stderr)
+        return 2
 
     use_libclang = False
     if args.frontend == "libclang":
@@ -1703,6 +2085,10 @@ def main(argv=None) -> int:
             print(f"  {f.render()}", file=sys.stderr)
         return 1
 
+    if args.checks:
+        kinds = {k for c in args.checks for k in CHECKS[c]}
+        baseline = {fp: desc for fp, desc in baseline.items()
+                    if desc.split(" ", 1)[0] in kinds}
     new, gone = diff_baseline(findings, baseline)
     if new:
         print(f"\n{len(new)} NEW finding(s) vs baseline:", file=sys.stderr)

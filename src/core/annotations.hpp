@@ -12,8 +12,9 @@
 //
 // Conventions (enforced by review + the static-analysis CI job):
 //  * every mutable field shared across threads is either a std::atomic
-//    (with a lint-checked memory_order justification, scripts/tca_lint.py
-//    rule `relaxed-order`) or TCA_GUARDED_BY a named tca::Mutex;
+//    (with its memory_order justified in docs/memory_model.md, which
+//    scripts/tca_analyze.py cross-verifies) or TCA_GUARDED_BY a named
+//    tca::Mutex;
 //  * functions that must be called with a lock held say so with
 //    TCA_REQUIRES(mu) instead of a comment;
 //  * raw std::mutex / std::lock_guard are reserved for code that cannot

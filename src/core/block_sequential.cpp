@@ -35,7 +35,10 @@ BlockOrder::BlockOrder(std::vector<std::vector<NodeId>> blocks, std::size_t n)
 BlockOrder BlockOrder::synchronous(std::size_t n) {
   std::vector<NodeId> all(n);
   for (std::size_t v = 0; v < n; ++v) all[v] = static_cast<NodeId>(v);
-  return BlockOrder({std::move(all)}, n);
+  std::vector<std::vector<NodeId>> blocks;
+  // The empty node set's only partition has no blocks.
+  if (n != 0) blocks.push_back(std::move(all));
+  return BlockOrder(std::move(blocks), n);
 }
 
 BlockOrder BlockOrder::even_odd(std::size_t n) {

@@ -26,7 +26,8 @@ class BlockOrder {
   /// block (for an automaton of `n` nodes).
   BlockOrder(std::vector<std::vector<NodeId>> blocks, std::size_t n);
 
-  /// The fully synchronous scheme: a single block of all n nodes.
+  /// The fully synchronous scheme: a single block of all n nodes (no
+  /// block at all when n == 0).
   static BlockOrder synchronous(std::size_t n);
 
   /// The fully sequential scheme along a permutation.

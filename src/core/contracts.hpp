@@ -15,7 +15,7 @@
 //    exempt (failure paths and one-time setup are cold by definition).
 //    Lambdas passed to SuccessorStore::for_each_range are implicit roots
 //    — the store calls them once per 4096-entry block, 2^n/4096 times.
-//    The annotated roots are registered in scripts/tca_lint.py
+//    The annotated roots are registered in scripts/tca_analyze.py
 //    (HOT_PATH_ROOTS) so a rename cannot silently drop the check.
 //
 //  * TCA_JOINED_BEFORE_SCOPE_EXIT — placed immediately before a thread

@@ -32,8 +32,9 @@ ThreadPool::ThreadPool(unsigned num_threads) {
   for (unsigned i = 0; i < extra; ++i) {
     try {
       if (runtime::fault::should_fail_thread_spawn()) {
-        // tca-lint: allow(raw-throw) simulated std::thread spawn failure —
-        // must be the same std::system_error a real spawn failure raises.
+        // tca-analyze: allow(raw-throw) simulated std::thread spawn
+        // failure — must be the same std::system_error a real spawn
+        // failure raises.
         throw std::system_error(
             std::make_error_code(std::errc::resource_unavailable_try_again),
             "fault plan: injected thread-spawn failure");

@@ -22,8 +22,8 @@ LogSink& sink_slot() TCA_REQUIRES(g_sink_mutex) {
 
 void default_sink(const LogRecord& record) {
   const std::string line = render_jsonl(record);
-  // tca-lint: allow(raw-stdio) this IS the terminal sink every structured
-  // event in src/ funnels into; everything else must call log_event().
+  // This IS the terminal sink every structured event in src/ funnels
+  // into; everything else must call log_event().
   std::fprintf(stderr, "%s\n", line.c_str());
 }
 

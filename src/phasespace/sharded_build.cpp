@@ -1,8 +1,5 @@
 #include "phasespace/sharded_build.hpp"
 
-#include <pthread.h>
-#include <sched.h>
-
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -101,18 +98,6 @@ std::uint64_t estimated_store_bytes(StoreKind kind, std::uint32_t bits,
   return count * sizeof(StateCode);
 }
 
-/// Best-effort pin of the calling thread to `cpus`; failures are logged
-/// once per build, never fatal (shared runners refuse affinity calls).
-bool pin_to_cpus(const std::vector<unsigned>& cpus) {
-  if (cpus.empty()) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (const unsigned c : cpus) {
-    if (c < CPU_SETSIZE) CPU_SET(c, &set);
-  }
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-}
-
 /// States stepped, charged and handed to the sink per block: budgets
 /// and cancellation trip mid-shard, not per shard.
 constexpr std::size_t kBlockStates = 1024;
@@ -124,7 +109,6 @@ struct ShardPlan {
   std::uint64_t shards_total = 0;
   StateCode count = 0;
   unsigned workers = 0;
-  const NumaTopology* topo = nullptr;  ///< worker groups
   /// Group g's shards are [region_end[g - 1], region_end[g]).
   std::vector<std::uint64_t> region_end;
 
@@ -149,7 +133,6 @@ ShardPlan plan_shards(std::uint32_t bits, StateCode shard_states,
   // The topology cannot change under a running process; probing sysfs
   // on every build would cost more than a small build itself.
   static const NumaTopology topo = probe_numa_topology();
-  plan.topo = &topo;
   const auto num_groups = static_cast<std::uint32_t>(topo.groups.size());
   plan.workers = std::max(1u, workers != 0 ? workers : topo.total_cpus());
 
@@ -237,7 +220,6 @@ DrainResult drain_shards(
     const ShardPlan& plan, const ShardedBuildOptions& options,
     runtime::RunControl& control, const char* context, std::uint8_t* done,
     const MakeSink& make_sink) {
-  const NumaTopology& topo = *plan.topo;
   const auto num_groups = static_cast<std::uint32_t>(plan.region_end.size());
   const unsigned workers = plan.workers;
   // One claim cursor per group. fetch_add may overshoot region_end by up
@@ -260,10 +242,6 @@ DrainResult drain_shards(
   const auto worker_body = [&, ctl, plan_ptr, region_end,
                             done](unsigned worker_id) TCA_HOT_PATH {
     const std::uint32_t home = worker_id % num_groups;
-    if (options.pin_threads && worker_id != 0) {
-      // Worker 0 is the calling thread; leave its affinity alone.
-      pin_to_cpus(topo.groups[home].cpus);
-    }
     WorkerTally tally;
     try {
       // Thread-local engine + sink: plans, slices, fallback buffers and

@@ -101,10 +101,6 @@ struct ShardedBuildOptions {
   /// kDisk only: revalidate extents already on disk (digest check
   /// against the manifest) and skip rebuilding shards they cover.
   bool resume = false;
-  /// Best-effort pthread affinity of each worker to its group's CPUs.
-  /// Off by default: pinning helps throughput on multi-node hosts but
-  /// is wrong for shared CI runners.
-  bool pin_threads = false;
   /// Engine rung the per-worker steppers run at (the degradation
   /// ladder's knob; kWideSimd = dispatched best tier).
   runtime::EngineRung rung = runtime::EngineRung::kWideSimd;
@@ -170,10 +166,10 @@ struct SupervisedShardedBuild {
 /// full sweep of it, and ORs each 1024-block of successors into a
 /// 1-bit/state reached bitmap; gardens are the unreached codes. Nothing
 /// is stored, so options.store, disk_dir and resume are ignored; workers,
-/// shard_states, pin_threads and rung (synchronous only, the sweep map
-/// runs the dispatched tier) mean what they mean for a build, and the
-/// census is identical for every one of them. On rings it must agree
-/// with the transfer-matrix census (tested).
+/// shard_states and rung (synchronous only, the sweep map runs the
+/// dispatched tier) mean what they mean for a build, and the census is
+/// identical for every one of them. On rings it must agree with the
+/// transfer-matrix census (tested).
 ///
 /// Budgeted like a build: the bitmap bytes are charged up front and one
 /// state per source code in 1024-blocks. A truncated census has seen

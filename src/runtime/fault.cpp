@@ -70,7 +70,7 @@ void check_alloc(std::uint64_t bytes) {
   // Plans with a size floor target only large allocations: small
   // bookkeeping allocations pass through without consuming the countdown.
   if (bytes < g_alloc_min_bytes.load(std::memory_order_relaxed)) return;
-  // tca-lint: allow(raw-throw) the injected failure must be the exact
+  // tca-analyze: allow(raw-throw) the injected failure must be the exact
   // std::bad_alloc a real exhausted allocation raises.
   if (consume(g_alloc_left, 1)) throw std::bad_alloc();
 }

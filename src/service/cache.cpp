@@ -67,6 +67,13 @@ std::optional<CacheHit> ResultCache::lookup(const ServiceQuery& query) {
   return std::nullopt;
 }
 
+std::optional<std::string> ResultCache::peek(const std::string& key) const {
+  LockGuard lock(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) return std::nullopt;
+  return it->second->result_json;
+}
+
 void ResultCache::insert(const ServiceQuery& query,
                          const std::string& result_json) {
   const std::string key = query.canonical_key();

@@ -63,6 +63,9 @@ class ResultCache {
 
   /// Memory tier first, then disk. A disk hit is promoted into memory.
   [[nodiscard]] std::optional<CacheHit> lookup(const ServiceQuery& query);
+  /// The memory-tier entry under a canonical key, without counting,
+  /// promoting or touching it.
+  [[nodiscard]] std::optional<std::string> peek(const std::string& key) const;
 
   /// Inserts (or refreshes) the result under the query's canonical key;
   /// writes through to the disk tier when enabled. Disk write failures

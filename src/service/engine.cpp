@@ -17,6 +17,7 @@
 #include "phasespace/classify.hpp"
 #include "phasespace/preimage.hpp"
 #include "phasespace/sharded_build.hpp"
+#include "phasespace/successor_store.hpp"
 #include "runtime/error.hpp"
 
 namespace tca::service {
@@ -85,13 +86,13 @@ void claim_store_dir(const fs::path& dir, const std::string& key) {
   std::ofstream(key_file, std::ios::binary | std::ios::trunc) << key;
 }
 
-/// Streams a finished disk table into the configured RAM backend.
-std::shared_ptr<phasespace::SuccessorStore> load_into(
-    phasespace::StoreKind kind, const phasespace::SuccessorStore& disk) {
+/// Streams a finished disk table into a flat RAM table.
+std::shared_ptr<phasespace::SuccessorStore> load_into_flat(
+    const phasespace::SuccessorStore& disk) {
   constexpr phasespace::StateCode kChunk = phasespace::StateCode{1} << 16;
   const phasespace::StateCode total = disk.num_entries();
   std::shared_ptr<phasespace::SuccessorStore> ram =
-      phasespace::make_store(kind, disk.bits());
+      phasespace::make_store(phasespace::StoreKind::kFlat, disk.bits());
   std::vector<phasespace::StateCode> block(static_cast<std::size_t>(kChunk));
   for (phasespace::StateCode first = 0; first < total; first += kChunk) {
     const auto count =
@@ -277,19 +278,11 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
 
   QueryOutcome out;
   out.states_total = std::uint64_t{1} << query.n;
-  phasespace::StoreKind store_kind = options_.store;
-  if (store_kind == phasespace::StoreKind::kDisk &&
-      options_.ckpt_dir.empty()) {
-    obs::log_event(obs::LogLevel::kWarn, "service.store.fallback",
-                   {{"reason", "disk backend needs ckpt_dir"},
-                    {"fallback", "flat"}});
-    store_kind = phasespace::StoreKind::kFlat;
-  }
   // Recomputing a small build is cheaper than checkpointing it.
   const bool resumable =
       !options_.ckpt_dir.empty() && query.n > options_.small_n_bits;
   std::optional<phasespace::FunctionalGraph> fg = build_supervised(
-      query, budget, std::move(token), store_kind, resumable, out);
+      query, budget, std::move(token), resumable, out);
   if (fg) {
     out.result = result_from_graph(query, *fg);
     out.status = QueryOutcome::Status::kOk;
@@ -297,10 +290,8 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
 
   // A spilled table is scratch space for result derivation, not a cache
   // (the RESULT cache lives in front of the engine): reclaim it once the
-  // result exists, and at once when no later request resumes from it.
-  if ((resumable && fg) ||
-      (!resumable && store_kind == phasespace::StoreKind::kDisk)) {
-    fg.reset();  // unmap before unlinking
+  // result exists.
+  if (resumable && fg) {
     std::error_code ec;
     fs::remove_all(store_dir(options_, query), ec);
   }
@@ -309,8 +300,7 @@ QueryOutcome QueryEngine::run_explicit(const ServiceQuery& query,
 
 std::optional<phasespace::FunctionalGraph> QueryEngine::build_supervised(
     const ServiceQuery& query, const RequestBudget& budget,
-    runtime::CancelToken token, phasespace::StoreKind store_kind,
-    bool resumable, QueryOutcome& out) const {
+    runtime::CancelToken token, bool resumable, QueryOutcome& out) const {
   static obs::Counter& resume_saved = obs::counter("service.resume.saved");
   static obs::Counter& resume_resumed = obs::counter("service.resume.resumed");
 
@@ -318,15 +308,16 @@ std::optional<phasespace::FunctionalGraph> QueryEngine::build_supervised(
 
   // A resumable build spills kDisk extents, so a truncated or killed
   // build resumes from its digest-valid shards; any other build writes
-  // straight into the configured backend.
+  // straight into a flat table.
   phasespace::ShardedBuildOptions build_options;
   build_options.workers = phasespace::workers_for_states(out.states_total);
-  build_options.store = resumable ? phasespace::StoreKind::kDisk : store_kind;
-  if (build_options.store == phasespace::StoreKind::kDisk) {
+  build_options.store = resumable ? phasespace::StoreKind::kDisk
+                                  : phasespace::StoreKind::kFlat;
+  if (resumable) {
     const fs::path dir = store_dir(options_, query);
-    if (resumable) claim_store_dir(dir, query.canonical_key());
+    claim_store_dir(dir, query.canonical_key());
     build_options.disk_dir = dir.string();
-    build_options.resume = resumable;
+    build_options.resume = true;
   }
 
   phasespace::ShardedBuild build;
@@ -361,11 +352,8 @@ std::optional<phasespace::FunctionalGraph> QueryEngine::build_supervised(
     }
     return std::nullopt;
   }
-  if (!resumable || store_kind == phasespace::StoreKind::kDisk) {
-    return std::move(*build.build.graph);
-  }
-  return phasespace::FunctionalGraph::from_store(
-      load_into(store_kind, *build.store));
+  if (!resumable) return std::move(*build.build.graph);
+  return phasespace::FunctionalGraph::from_store(load_into_flat(*build.store));
 }
 
 }  // namespace tca::service

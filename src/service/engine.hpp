@@ -19,11 +19,12 @@
 //    worker per 2^20 states). With a ckpt_dir, builds above small_n_bits
 //    spill kDisk extents under ckpt_dir/store/<digest>, each state once,
 //    and a budget-truncated or killed build RESUMES on the next identical
-//    request by skipping every digest-valid shard. The canonical key is
-//    recorded beside the extents, so a digest collision wipes them
-//    instead of seeding the wrong build. Smaller builds, and every build
-//    without a ckpt_dir, write straight into the configured store:
-//    recomputing them is cheaper than checkpointing them.
+//    request by skipping every digest-valid shard; the finished extents
+//    are streamed into a flat table. The canonical key is recorded beside
+//    the extents, so a digest collision wipes them instead of seeding the
+//    wrong build. Smaller builds, and every build without a ckpt_dir,
+//    write straight into a flat table: recomputing them is cheaper than
+//    checkpointing them.
 //
 // Admission control: at most max_concurrent_builds explicit builds run
 // at once; excess requests queue on a condition variable (FIFO-ish) and
@@ -40,7 +41,6 @@
 
 #include "core/annotations.hpp"
 #include "phasespace/functional_graph.hpp"
-#include "phasespace/successor_store.hpp"
 #include "runtime/budget.hpp"
 #include "runtime/supervisor.hpp"
 #include "service/query.hpp"
@@ -58,15 +58,6 @@ struct EngineOptions {
   /// Retry/degradation policy for supervised builds. The per-request
   /// budget is layered on top as the attempt budget.
   runtime::SupervisorOptions supervisor;
-  /// Successor-storage backend completed explicit graphs are held in
-  /// while results are derived (docs/service.md "storage backends"):
-  /// kFlat keeps the raw 8-byte table, kPacked n bits per successor
-  /// (~8x smaller resident set per admitted build at n=26), kDisk the
-  /// extents under ckpt_dir, streamed back with bounded RAM. A resumable
-  /// build streams its finished extents into kFlat or kPacked and uses
-  /// them in place for kDisk. All backends produce bit-identical results
-  /// (pinned by the store-backend-agree oracle).
-  phasespace::StoreKind store = phasespace::StoreKind::kFlat;
 };
 
 /// Per-request resource limits, parsed from the request's "budget" object.
@@ -133,13 +124,13 @@ class QueryEngine {
       std::string_view job, const RequestBudget& budget,
       runtime::CancelToken token, QueryOutcome& out,
       const std::function<bool(runtime::AttemptContext&)>& attempt) const;
-  /// run_explicit's build: the completed graph, or nullopt with `out`
-  /// describing the truncation or failure. A `resumable` build spills
-  /// kDisk extents under ckpt_dir and resumes from them.
+  /// run_explicit's build: the completed flat graph, or nullopt with
+  /// `out` describing the truncation or failure. A `resumable` build
+  /// spills kDisk extents under ckpt_dir, resumes from them, and streams
+  /// the finished table into a flat store.
   std::optional<phasespace::FunctionalGraph> build_supervised(
       const ServiceQuery& query, const RequestBudget& budget,
-      runtime::CancelToken token, phasespace::StoreKind store_kind,
-      bool resumable, QueryOutcome& out) const;
+      runtime::CancelToken token, bool resumable, QueryOutcome& out) const;
 
   const EngineOptions options_;
 

@@ -183,8 +183,18 @@ std::string RequestHandler::handle_query(const JsonValue& request,
   // 3. Leader: compute, publish, cache. The guard guarantees followers
   // are released even if the engine throws something unexpected.
   LeaderGuard guard(coalescer_, key);
-  const QueryOutcome outcome = engine_.execute(query, budget, std::move(token));
   CoalescedResult publish;
+  // A leader that finished between this request's cache miss and its
+  // join_or_lead cached the result before leaving the coalescer: serve
+  // that instead of building it a second time.
+  if (std::optional<std::string> cached = cache_.peek(key)) {
+    publish.ok = true;
+    publish.response_json = *cached;
+    guard.publish(std::move(publish));
+    ok_count.add();
+    return query_response(id, "memory-cache", *cached);
+  }
+  const QueryOutcome outcome = engine_.execute(query, budget, std::move(token));
   if (outcome.ok()) {
     const std::string result_json = outcome.result.to_json();
     cache_.insert(query, result_json);

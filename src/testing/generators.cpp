@@ -21,7 +21,7 @@ Graph any_space(std::mt19937_64& rng, std::uint32_t max_nodes) {
   const auto cap = [&](std::uint32_t lo, std::uint32_t hi) {
     return range(rng, lo, std::max(lo, std::min(hi, max_nodes)));
   };
-  switch (rng() % 9) {
+  switch (rng() % 10) {
     case 0: return graph::ring(cap(3, 12));
     case 1: return graph::path(cap(1, 12));
     case 2: return graph::random_gnp(
@@ -31,6 +31,7 @@ Graph any_space(std::mt19937_64& rng, std::uint32_t max_nodes) {
     case 5: return graph::complete(cap(2, 6));
     case 6: return graph::complete_bipartite(cap(1, 4), cap(1, 4));
     case 7: return graph::star(cap(2, 10));
+    case 8: return Graph(0, {});  // the empty automaton: one state, n = 0
     default: {
       // random 3-regular graph needs n*d even and d < n.
       const auto nodes = static_cast<NodeId>(4 + 2 * (rng() % 3));

@@ -32,7 +32,7 @@ struct CaseOptions {
   RuleClass rules = RuleClass::kAny;
   SubstrateClass substrate = SubstrateClass::kAny;
   MemoryPolicy memory = MemoryPolicy::kEither;
-  std::uint32_t max_nodes = 12;  ///< generated n stays in [1, max_nodes]
+  std::uint32_t max_nodes = 12;  ///< generated n stays in [0, max_nodes]
   std::uint32_t max_steps = 32;
 };
 

@@ -118,7 +118,9 @@ PropertyResult check_sca_no_cycle(const TestCase& tc) {
   }
 
   // Certificate 2 (trajectory): a bounded-fair random schedule converges
-  // from the case's start configuration.
+  // from the case's start configuration. A schedule needs a node to draw;
+  // the empty automaton's one configuration is already a fixed point.
+  if (a.size() == 0) return PropertyResult::pass();
   Configuration c = tc.configuration();
   core::RandomSweepSchedule schedule(a.size(), rng());
   if (!core::run_schedule_to_fixed_point(a, c, schedule, 100000).has_value()) {
@@ -134,6 +136,7 @@ PropertyResult check_energy_descent(const TestCase& tc) {
   const auto net = analysis::ThresholdNetwork::homogeneous(
       tc.space(), tc.rule.k, tc.memory == core::Memory::kWith);
   const auto a = net.automaton();
+  if (a.size() == 0) return PropertyResult::pass();  // no node to update
   auto c = tc.configuration();
   std::mt19937_64 rng(tc.seed ^ 0xe4e26eull);
   for (std::uint32_t step = 0; step < 64; ++step) {

@@ -37,7 +37,6 @@ TEST(Generators, CasesAreValidAutomata) {
   for (const auto& oracle : oracles()) {
     for (std::uint64_t i = 0; i < 25; ++i) {
       const auto c = random_case(mix_seed(0xBA5Eu, i), oracle.options);
-      ASSERT_GE(c.n, 1u);
       ASSERT_LE(c.n, 64u);
       // Materialization must never throw: arity-validated per node.
       const auto a = c.automaton();
@@ -45,6 +44,17 @@ TEST(Generators, CasesAreValidAutomata) {
       EXPECT_EQ(c.configuration().size(), c.n);
     }
   }
+}
+
+TEST(Generators, DefaultRunReachesTheEmptyAutomaton) {
+  // n = 0 (no nodes, one state) is a real input: the default run of every
+  // oracle over the full substrate family must include it.
+  bool seen = false;
+  for (std::uint64_t i = 0; i < kDefaultCases; ++i) {
+    const std::uint64_t seed = i == 0 ? kDefaultSeed : mix_seed(kDefaultSeed, i);
+    seen = seen || random_case(seed, CaseOptions{}).n == 0;
+  }
+  EXPECT_TRUE(seen);
 }
 
 TEST(Generators, BipartiteEnvelopeHoldsPreconditions) {

@@ -303,6 +303,30 @@ TEST(Coalescing, ConcurrentIdenticalRequestsStartOneBuild) {
   EXPECT_EQ(handler.active_requests(), 0u);
 }
 
+TEST(Coalescing, LateJoinerAfterTheLeaderLeftStartsNoSecondBuild) {
+  // A request whose cache lookup misses just before the leader caches its
+  // result, and whose join_or_lead runs just after the leader has left
+  // the coalescer, must still not build again. A tiny query keeps each
+  // build short and 16 threads per round oversubscribe the cores, so
+  // some of the 1000 rounds land a thread in that window.
+  const std::string request =
+      R"({"op":"query","id":1,"query":{"kind":"attractor-summary","n":5,)"
+      R"("radius":1,"rule":"majority","topology":"ring"}})";
+  constexpr std::size_t kThreads = 16;
+  for (int round = 0; round < 1000; ++round) {
+    HandlerOptions options;
+    options.cache.disk_dir = "";
+    RequestHandler handler(options);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&] { (void)handler.handle(request); });
+    }
+    for (std::thread& t : threads) t.join();
+    ASSERT_EQ(handler.engine().builds_started(), 1u) << "round " << round;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Resumable large-n builds
 // ---------------------------------------------------------------------
