@@ -264,7 +264,6 @@ ScenarioOutcome run_parallel(const Scenario& s, const core::Automaton& a,
                              const std::vector<phasespace::StateCode>& base) {
   const std::uint64_t count = std::uint64_t{1} << s.cells;
   phasespace::ShardedBuildOptions options;
-  options.store = phasespace::StoreKind::kFlat;
   options.shard_states = 64;
   options.workers = 3;
   const phasespace::SupervisedShardedBuild sup =

@@ -41,25 +41,22 @@ core::Automaton xor_ring(std::size_t n) {
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
 /// The phase-space facade (one worker at 2^20 states), a four-worker
-/// packed build and a budgeted build of the same automaton must agree
+/// flat build and a budgeted build of the same automaton must agree
 /// bit-for-bit.
 bench::ExperimentResult phase_space_engines(runtime::RunControl& control) {
   const auto a = xor_ring(20);
   const auto serial = phasespace::FunctionalGraph::synchronous(a);
   phasespace::ShardedBuildOptions options;
-  options.store = phasespace::StoreKind::kPacked;
   options.workers = 4;
   runtime::RunControl unlimited;
   const auto parallel =
       phasespace::build_synchronous_sharded(a, options, unlimited);
-  options.store = phasespace::StoreKind::kFlat;
   const auto budgeted =
       phasespace::build_synchronous_sharded(a, options, control);
-  bool ok = parallel.complete() && budgeted.complete() &&
-            serial.successors() == budgeted.build.graph->successors();
-  for (phasespace::StateCode s = 0; ok && s < serial.num_states(); ++s) {
-    ok = parallel.build.graph->succ(s) == serial.succ(s);
-  }
+  const bool ok =
+      parallel.complete() && budgeted.complete() &&
+      serial.successors() == parallel.build.graph->successors() &&
+      serial.successors() == budgeted.build.graph->successors();
   return {ok, "2^20 states; serial == parallel == budgeted"};
 }
 
@@ -195,7 +192,6 @@ bench::ExperimentResult fault_injection_drill(runtime::RunControl&) {
     }
   }
   phasespace::ShardedBuildOptions options;
-  options.store = phasespace::StoreKind::kFlat;
   options.shard_states = 64;
   options.workers = 4;
   // The first pool chunk throws, and so does the first sharded-build

@@ -882,11 +882,7 @@ HOT_PATH_ROOTS = (
     ("src/phasespace/classify.cpp",
      r"\(std::size_t\s+b,\s*std::size_t\s+e\)\s*TCA_HOT_PATH\s*\{", 4),
     ("src/phasespace/successor_store.cpp",
-     r"TCA_HOT_PATH\s+inline\s+void\s+merge_word\b", 1),
-    ("src/phasespace/successor_store.cpp",
      r"TCA_HOT_PATH\s+void\s+FlatStore::put_range\b", 1),
-    ("src/phasespace/successor_store.cpp",
-     r"TCA_HOT_PATH\s+void\s+PackedStore::put_range\b", 1),
 )
 
 # Line rules, matched on comment/literal-masked source with preprocessor

@@ -84,8 +84,8 @@ void store_label(std::uint32_t& depth_slot, std::uint32_t& attr_slot,
 
 std::vector<std::uint32_t> in_degrees(const SuccessorStore& store) {
   // Streamed, not random access: one sequential pass works identically on
-  // the flat, packed and disk backends (the disk backend serves it with
-  // bounded pread blocks, no mmap growth).
+  // the flat and disk backends (the disk backend serves it with bounded
+  // pread blocks, no mmap growth).
   std::vector<std::uint32_t> indeg(store.num_entries(), 0);
   store.for_each_range(
       [&indeg](StateCode, std::size_t count, const StateCode* block) {

@@ -72,9 +72,9 @@ struct Classification {
 /// states run on the calling thread alone. The result is a pure function
 /// of the successor table: identical in every field for any worker count.
 ///
-/// Works on every storage backend through FunctionalGraph::succ (flat
-/// index, packed decode, or the disk store's shared read mapping); the
-/// store must be finalized.
+/// Works on both storage backends through FunctionalGraph::succ (flat
+/// index or the disk store's shared read mapping); the store must be
+/// finalized.
 [[nodiscard]] Classification classify(const FunctionalGraph& fg);
 
 /// In-degree of each state (preimage counts under F).

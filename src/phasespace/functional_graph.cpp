@@ -19,7 +19,6 @@ namespace {
 /// The facades' build: a flat table, one worker per 2^20 states.
 ShardedBuildOptions facade_options(std::uint32_t bits) {
   ShardedBuildOptions options;
-  options.store = StoreKind::kFlat;
   options.workers = workers_for_states(StateCode{1} << bits);
   return options;
 }

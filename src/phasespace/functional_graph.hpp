@@ -47,9 +47,9 @@ namespace tca::phasespace {
 using CodeStepFn = std::function<StateCode(StateCode)>;
 
 /// Hard cap on FLAT explicit enumeration (2^26 states x 8 bytes of
-/// StateCode = 512 MiB). Backend-aware caps — packed n=29, disk n=32 —
-/// come from max_explicit_bits(StoreKind) in successor_store.hpp; this
-/// constant is the kFlat instance, kept for the pre-store call sites.
+/// StateCode = 512 MiB). The disk cap, n=32, comes from
+/// max_explicit_bits(StoreKind) in successor_store.hpp; this constant is
+/// the kFlat instance, kept for the pre-store call sites.
 inline constexpr std::uint32_t kMaxExplicitBits =
     max_explicit_bits(StoreKind::kFlat);
 
@@ -120,12 +120,12 @@ class FunctionalGraph {
   [[nodiscard]] StateCode num_states() const noexcept {
     return StateCode{1} << bits_;
   }
-  /// Successor of s. Direct array indexing on the flat backend; a store
-  /// read (packed decode / disk mmap) otherwise.
+  /// Successor of s. Direct array indexing on the flat backend; a read of
+  /// the disk store's mapping otherwise.
   [[nodiscard]] StateCode succ(StateCode s) const {
     return flat_ != nullptr ? flat_[s] : store_->get(s);
   }
-  /// The storage backend (flat / packed / disk) this graph reads from.
+  /// The storage backend (flat / disk) this graph reads from.
   [[nodiscard]] const SuccessorStore& store() const noexcept {
     return *store_;
   }

@@ -82,22 +82,6 @@ void publish_shard_tallies(const ShardStats& stats,
   resumed.add(stats.resumed_states);
 }
 
-/// RAM the backend will pin (charged to the byte budget BEFORE any
-/// allocation).
-std::uint64_t estimated_store_bytes(StoreKind kind, std::uint32_t bits,
-                                    StateCode count) {
-  switch (kind) {
-    case StoreKind::kFlat:
-      return count * sizeof(StateCode);
-    case StoreKind::kPacked:
-      return (((static_cast<std::uint64_t>(count) * bits + 63) >> 6) + 1) *
-             sizeof(std::uint64_t);
-    case StoreKind::kDisk:
-      return 0;  // spills; its staging buffers are charged separately
-  }
-  return count * sizeof(StateCode);
-}
-
 /// States stepped, charged and handed to the sink per block: budgets
 /// and cancellation trip mid-shard, not per shard.
 constexpr std::size_t kBlockStates = 1024;
@@ -172,7 +156,7 @@ struct DrainResult {
 };
 
 /// The table build's sink: flat shards are stepped straight into the
-/// table; the other backends stage one shard per worker and put_range it
+/// table; disk shards are staged in a per-worker buffer and put_range'd
 /// whole.
 struct StoreSink {
   SuccessorStore* store;
@@ -369,18 +353,17 @@ ShardedBuild build_sharded(
   out.stats.workers = plan.workers;
 
   // --- budget: charge the store + staging footprint up front ------------
-  // Flat shards are stepped straight into the table; the other backends
-  // stage one shard per worker and put_range it.
+  // Flat shards are stepped straight into the table, which is charged
+  // whole BEFORE it is allocated; disk builds pin no table, only one
+  // staging shard per worker that is put_range'd (spilled) when full.
   const bool flat = options.store == StoreKind::kFlat;
   const std::size_t staging_states =
       flat ? 0
            : static_cast<std::size_t>(
                  std::min<StateCode>(plan.shard_states, count));
-  const std::uint64_t staging_bytes =
-      static_cast<std::uint64_t>(plan.workers) * staging_states *
-      sizeof(StateCode);
   const std::uint64_t charge =
-      estimated_store_bytes(options.store, bits, count) + staging_bytes;
+      (flat ? count : std::uint64_t{plan.workers} * staging_states) *
+      sizeof(StateCode);
   if (control.note_bytes(charge) != runtime::StopReason::kNone) {
     out.build.status = control.status();
     publish_shard_tallies(out.stats, 0);

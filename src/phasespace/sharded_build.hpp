@@ -23,9 +23,9 @@
 //  * each worker streams its shard through a thread-local
 //    BatchCodeStepper (the dispatched SIMD tier; plans, slices and
 //    fallback buffers are per-thread state). On the flat backend it
-//    steps straight into the table; on the packed (n-bit succinct) and
-//    disk (spilled extents with FNV digests) backends it fills a
-//    thread-local staging buffer and put_range()s the finished shard.
+//    steps straight into the table; on the disk backend (spilled n-bit
+//    extents with FNV digests) it fills a thread-local staging buffer
+//    and put_range()s the finished shard.
 //
 // The result is deterministic: shard -> range is a fixed function of
 // (bits, shard_states), every shard is computed by exactly one worker
@@ -87,14 +87,13 @@ struct NumaTopology {
 
 struct ShardedBuildOptions {
   /// Storage backend the build writes into.
-  StoreKind store = StoreKind::kPacked;
+  StoreKind store = StoreKind::kFlat;
   /// Worker threads (0 = one per probed CPU). Clamped to >= 1; the
   /// calling thread is worker 0.
   unsigned workers = 0;
   /// States per shard; the final shard is the ragged remainder. On the
   /// disk backend rounded UP to a multiple of kPutAlign (512) so extents
-  /// own whole bytes; packed shards that straddle a word merge it by
-  /// CAS. Small values are for tests.
+  /// own whole bytes. Small values are for tests.
   StateCode shard_states = StateCode{1} << 16;
   /// Directory for StoreKind::kDisk (required then, ignored otherwise).
   std::string disk_dir;
@@ -183,7 +182,7 @@ struct SupervisedShardedBuild {
     const ShardedBuildOptions& options, runtime::RunControl& control);
 
 /// Census over an ALREADY-BUILT successor table: streams any
-/// SuccessorStore backend (flat / packed / disk) into a reached-states
+/// SuccessorStore backend (flat / disk) into a reached-states
 /// bitmap in bounded blocks — the disk backend serves the scan with
 /// pread, so an n=28-32 census runs in bitmap + block memory (1 bit/state
 /// + O(4096) staging), never materializing the table in RAM. Same

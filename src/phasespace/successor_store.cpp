@@ -29,19 +29,15 @@ namespace {
 /// Max entries one for_each_range / read-back block decodes at a time.
 constexpr std::size_t kStreamBlock = 4096;
 
-/// Value mask for `bits`-bit entries. Zero bits is the empty automaton:
-/// one entry whose only value is 0, stored in no payload bits.
-[[nodiscard]] std::uint64_t mask_for(std::uint32_t bits) {
-  if (bits > 63) {
-    throw tca::InvalidArgumentError(
-        "SuccessorStore: entry width must be in [0, 63] bits, got " +
-        std::to_string(bits));
-  }
-  return (std::uint64_t{1} << bits) - 1;
-}
-
-[[nodiscard]] StateCode entries_or_full(std::uint32_t bits,
+/// Entry count of a `bits`-bit disk store (`entries` = 0 means 2^bits).
+/// Rejects widths past the disk cap first: there the one-window decode
+/// of get() and unpack_entries would return wrong values, not throw.
+/// Zero bits is the empty automaton: one entry whose only value is 0,
+/// stored in no payload bits.
+[[nodiscard]] StateCode checked_entries(std::uint32_t bits,
                                         StateCode entries) {
+  tca::require_explicit_bits(bits, max_explicit_bits(StoreKind::kDisk),
+                             "DiskStore");
   return entries == 0 ? (StateCode{1} << bits) : entries;
 }
 
@@ -57,8 +53,8 @@ void check_put_range(StateCode first, std::size_t count, StateCode entries,
 }
 
 /// Packs count n-bit values into a byte stream starting at bit offset 0
-/// (stream bit k lives in byte k>>3 at position k&7 — the little-endian
-/// word layout PackedStore uses, so the two backends share one format).
+/// (stream bit k lives in byte k>>3 at position k&7, so entry s of a
+/// store sits at bits [s*n, (s+1)*n) — the disk backend's data format).
 void pack_entries(const StateCode* src, std::size_t count, std::uint32_t n,
                   std::uint64_t mask, std::uint8_t* dst) {
   std::uint64_t acc = 0;
@@ -85,8 +81,9 @@ void pack_entries(const StateCode* src, std::size_t count, std::uint32_t n,
 /// Unpacks count n-bit values from a byte stream, the first starting at
 /// bit offset `bit0` (< 8) within src. src must extend 8 bytes past the
 /// last byte actually touched by a value's low bit (callers over-read
-/// from a buffer sized for that; n <= 63 and bit0 <= 7 keep every value
-/// within one unaligned 64-bit window when n + 7 <= 64, i.e. n <= 57).
+/// from a buffer sized for that). Each value is read through one
+/// unaligned 64-bit window shifted by at most 7, which is exact only
+/// while n + 7 <= 64; DiskStore caps n at max_explicit_bits(kDisk) = 32.
 void unpack_entries(const std::uint8_t* src, std::size_t count,
                     std::uint32_t n, std::uint64_t mask, StateCode* dst,
                     std::uint32_t bit0) {
@@ -102,30 +99,11 @@ void unpack_entries(const std::uint8_t* src, std::size_t count,
   }
 }
 
-/// Merges `value` into *word keeping the bits outside own_mask: a plain
-/// store when the word is fully owned, a CAS loop when a concurrent
-/// writer may own the complement (ranges straddling a word boundary).
-TCA_HOT_PATH inline void merge_word(std::uint64_t* word, std::uint64_t value,
-                                    std::uint64_t own_mask) {
-  std::atomic_ref<std::uint64_t> ref(*word);
-  if (own_mask == ~std::uint64_t{0}) {
-    ref.store(value, std::memory_order_relaxed);
-    return;
-  }
-  std::uint64_t old = ref.load(std::memory_order_relaxed);
-  const std::uint64_t ours = value & own_mask;
-  while (!ref.compare_exchange_weak(old, (old & ~own_mask) | ours,
-                                    std::memory_order_relaxed,
-                                    std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 const char* store_kind_name(StoreKind kind) noexcept {
   switch (kind) {
     case StoreKind::kFlat: return "flat";
-    case StoreKind::kPacked: return "packed";
     case StoreKind::kDisk: return "disk";
   }
   return "flat";
@@ -180,75 +158,6 @@ TCA_HOT_PATH void FlatStore::put_range(StateCode first, std::size_t count,
 void FlatStore::read_range(StateCode first, std::size_t count,
                            StateCode* dst) const {
   std::memcpy(dst, table_.data() + first, count * sizeof(StateCode));
-}
-
-// --- PackedStore --------------------------------------------------------
-
-PackedStore::PackedStore(std::uint32_t bits, StateCode entries)
-    : SuccessorStore(bits, entries_or_full(bits, entries)),
-      value_mask_(mask_for(bits)) {
-  const std::uint64_t payload_bits =
-      static_cast<std::uint64_t>(entries_) * bits;
-  // +1 guard word so the two-word read in get() never runs off the end.
-  words_count_ = ((payload_bits + 63) >> 6) + 1;
-  runtime::fault::check_alloc(words_count_ * sizeof(std::uint64_t));
-  // Default-initialized on purpose: a complete build writes every payload
-  // bit, and skipping the up-front memset is measurable at 2^24+ entries.
-  words_.reset(new std::uint64_t[words_count_]);
-  words_[words_count_ - 1] = 0;  // the guard word IS read before writes
-  static obs::Counter& packed_bits = obs::counter("store.packed_bits");
-  packed_bits.add(payload_bits);
-}
-
-StateCode PackedStore::get(StateCode s) const {
-  const std::uint64_t bit = s * bits_;
-  const auto w = static_cast<std::size_t>(bit >> 6);
-  const auto sh = static_cast<std::uint32_t>(bit & 63);
-  std::uint64_t v = words_[w] >> sh;
-  if (sh + bits_ > 64) {
-    v |= words_[w + 1] << (64 - sh);
-  }
-  return v & value_mask_;
-}
-
-TCA_HOT_PATH void PackedStore::put_range(StateCode first, std::size_t count,
-                                         const StateCode* src) {
-  check_put_range(first, count, entries_, "PackedStore");
-  if (count == 0) return;
-  const std::uint32_t n = bits_;
-  const std::uint64_t bit = first * n;
-  auto w = static_cast<std::size_t>(bit >> 6);
-  auto shift = static_cast<std::uint32_t>(bit & 63);
-  // own: bits of the current word this range is allowed to write. The
-  // first word keeps its low `shift` bits (a neighbor's), every word
-  // after that is fully owned until the tail.
-  std::uint64_t own = shift != 0
-                          ? ~((std::uint64_t{1} << shift) - 1)
-                          : ~std::uint64_t{0};
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t v = src[i] & value_mask_;
-    acc |= v << shift;
-    shift += n;
-    if (shift >= 64) {
-      merge_word(&words_[w], acc, own);
-      ++w;
-      shift -= 64;
-      acc = shift != 0 ? v >> (n - shift) : 0;
-      own = ~std::uint64_t{0};
-    }
-  }
-  if (shift != 0) {
-    // Tail word: own everything below `shift` that the head didn't
-    // already exclude (when the whole range fits inside one word, `own`
-    // still carries the head exclusion).
-    merge_word(&words_[w], acc, own & ((std::uint64_t{1} << shift) - 1));
-  }
-}
-
-void PackedStore::read_range(StateCode first, std::size_t count,
-                             StateCode* dst) const {
-  for (std::size_t i = 0; i < count; ++i) dst[i] = get(first + i);
 }
 
 // --- DiskStore ----------------------------------------------------------
@@ -323,9 +232,9 @@ constexpr const char* kManifestMagic = "tca-succ-store v1";
 }  // namespace
 
 DiskStore::DiskStore(std::uint32_t bits, std::string dir, StateCode entries)
-    : SuccessorStore(bits, entries_or_full(bits, entries)),
+    : SuccessorStore(bits, checked_entries(bits, entries)),
       dir_(std::move(dir)),
-      value_mask_(mask_for(bits)),
+      value_mask_((std::uint64_t{1} << bits) - 1),
       ledger_(new Ledger) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -643,8 +552,6 @@ std::shared_ptr<SuccessorStore> make_store(StoreKind kind, std::uint32_t bits,
   switch (kind) {
     case StoreKind::kFlat:
       return std::make_shared<FlatStore>(bits);
-    case StoreKind::kPacked:
-      return std::make_shared<PackedStore>(bits);
     case StoreKind::kDisk:
       if (disk_dir.empty()) {
         throw tca::InvalidArgumentError(

@@ -5,37 +5,33 @@
 // A FunctionalGraph used to BE a flat std::vector<StateCode>: 8 bytes per
 // state, 512 MiB at the n=26 cap, and nothing past that. This header
 // splits "what the successor of state s is" from "where that byte lives"
-// so the same builders, classifiers and censuses run against three
+// so the same builders, classifiers and censuses run against two
 // backends:
 //
 //   kFlat    the original vector — fastest random access, 64 bits/state.
-//   kPacked  succinct in-RAM array storing each successor in exactly n
-//            bits (a successor of an n-cell automaton IS an n-bit code),
-//            a 64/n compression that raises the in-RAM cap to n=29.
 //   kDisk    n-bit-packed extents spilled to a data file through the
 //            checkpoint framing's FNV-1a digests, with a CheckpointStore
 //            manifest for crash-safe resume; sequential read-back streams
 //            via pread in bounded RAM and random access lazily mmaps, so
-//            n=30-32 builds and the Garden-of-Eden census fit.
+//            n=27-32 tables fit. (The Garden-of-Eden census needs no
+//            table at all: see sharded_build.hpp.)
 //
 // Write protocol: builders produce disjoint [first, first + count) ranges
 // of 64-bit successor codes and put_range() them into the store.
-// Concurrent put_range calls on DISJOINT ranges are safe on every
-// backend; the packed backend CAS-merges the (at most two) words a range
-// boundary straddles, and ranges aligned to kPutAlign entries never share
-// a word at all (kPutAlign * n bits is a whole number of words for every
-// n). The disk backend requires that alignment — see DiskStore.
+// Concurrent put_range calls on DISJOINT ranges are safe on both
+// backends. The disk backend additionally requires ranges aligned to
+// kPutAlign entries, which never share a byte (kPutAlign * n bits is a
+// whole number of bytes for every n) — see DiskStore.
 //
 // Read protocol: get(s) is random access; for_each_range streams the
 // whole table front to back in bounded blocks and is the iteration
-// surface classification and censuses use so they work on all backends.
+// surface classification and censuses use so they work on both backends.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,33 +43,30 @@ using StateCode = std::uint64_t;
 
 /// Which successor-storage backend a store (or a build request) uses.
 enum class StoreKind : std::uint8_t {
-  kFlat,    ///< std::vector<StateCode>, 64 bits/state
-  kPacked,  ///< succinct in-RAM array, n bits/state
-  kDisk,    ///< n-bit-packed extents on disk, digest-verified
+  kFlat,  ///< std::vector<StateCode>, 64 bits/state
+  kDisk,  ///< n-bit-packed extents on disk, digest-verified
 };
 
-/// Stable lowercase name ("flat", "packed", "disk") for logs/manifests.
+/// Stable lowercase name ("flat", "disk") for logs/manifests.
 [[nodiscard]] const char* store_kind_name(StoreKind kind) noexcept;
 
 /// Per-backend explicit-enumeration cap (the generalization of the old
 /// kMaxExplicitBits): flat tables stop at n=26 (2^26 states x 8 bytes =
-/// 512 MiB), packed tables at n=29 (29 bits/state ~ 1.8 GiB vs the 4 GiB
-/// a flat table would need), disk extents at n=32 (32 bits/state = 16 GiB
-/// on disk, streamed back in bounded RAM).
+/// 512 MiB), disk extents at n=32 (32 bits/state = 16 GiB on disk,
+/// streamed back in bounded RAM).
 [[nodiscard]] constexpr std::uint32_t max_explicit_bits(
     StoreKind kind) noexcept {
   switch (kind) {
     case StoreKind::kFlat: return 26;
-    case StoreKind::kPacked: return 29;
     case StoreKind::kDisk: return 32;
   }
   return 26;
 }
 
 /// Ranges whose first entry and length are multiples of this never share
-/// a packed word or a disk byte with a neighboring range (512 * n bits is
-/// a multiple of 64 for every n), so aligned writers proceed with plain
-/// stores and zero contention. Shard sizes should be multiples of this.
+/// a disk byte with a neighboring range (512 * n bits is a multiple of 64
+/// for every n), so aligned writers pwrite disjoint bytes with zero
+/// contention. Disk shard sizes are rounded up to multiples of this.
 inline constexpr StateCode kPutAlign = 512;
 
 /// Abstract successor table of a deterministic map on `bits()`-bit
@@ -169,42 +162,6 @@ class FlatStore final : public SuccessorStore {
   std::vector<StateCode> table_;
 };
 
-/// Succinct backend: entry s occupies bits [s*n, (s+1)*n) of a word
-/// array. Words fully covered by a put_range are plain-stored; the at
-/// most two boundary words a range only partially owns are merged with a
-/// compare-exchange loop, so concurrent disjoint writers are exact even
-/// when their ranges straddle words. The word array is deliberately NOT
-/// zero-initialized (a complete build writes every bit; skipping the
-/// up-front memset is measurable at 2^24+ entries).
-class PackedStore final : public SuccessorStore {
- public:
-  /// `entries` = 0 means 2^bits. Smaller values are for unit tests that
-  /// probe wide widths (n=27 round-trips) without the full allocation.
-  explicit PackedStore(std::uint32_t bits, StateCode entries = 0);
-
-  [[nodiscard]] StoreKind kind() const noexcept override {
-    return StoreKind::kPacked;
-  }
-  [[nodiscard]] StateCode get(StateCode s) const override;
-  void put_range(StateCode first, std::size_t count,
-                 const StateCode* src) override;
-  void read_range(StateCode first, std::size_t count,
-                  StateCode* dst) const override;
-  [[nodiscard]] std::uint64_t resident_bytes() const noexcept override {
-    return words_count_ * sizeof(std::uint64_t);
-  }
-  /// Total payload bits (num_entries * bits) — the "store.packed_bits"
-  /// ablation counter.
-  [[nodiscard]] std::uint64_t packed_bits() const noexcept {
-    return static_cast<std::uint64_t>(entries_) * bits_;
-  }
-
- private:
-  std::unique_ptr<std::uint64_t[]> words_;
-  std::uint64_t words_count_ = 0;
-  std::uint64_t value_mask_ = 0;
-};
-
 /// Disk-backed streaming backend. Layout under `dir`:
 ///
 ///   succ.dat        n-bit-packed entries at their natural bit offsets
@@ -229,9 +186,12 @@ class PackedStore final : public SuccessorStore {
 /// mid-pwrite, bit rot) is dropped and simply rebuilt by the caller.
 class DiskStore final : public SuccessorStore {
  public:
-  /// Opens (creating if needed) the store directory. `entries` as in
-  /// PackedStore. Throws tca::CheckpointError(kIo) when the directory or
-  /// data file cannot be created.
+  /// Opens (creating if needed) the store directory. `entries` = 0 means
+  /// 2^bits; smaller values are for unit tests that probe wide widths
+  /// without the full file. Throws tca::InvalidArgumentError when `bits`
+  /// exceeds max_explicit_bits(kDisk) (the one-window decode is exact
+  /// only up to there), and tca::CheckpointError(kIo) when the directory
+  /// or data file cannot be created.
   DiskStore(std::uint32_t bits, std::string dir, StateCode entries = 0);
   ~DiskStore() override;
 
@@ -292,7 +252,7 @@ class DiskStore final : public SuccessorStore {
 
 /// Factory: an empty store of 2^bits entries of the requested backend.
 /// `disk_dir` is required for kDisk (tca::InvalidArgumentError
-/// otherwise) and ignored for the RAM backends. Validates `bits` against
+/// otherwise) and ignored for kFlat. Validates `bits` against
 /// max_explicit_bits(kind).
 [[nodiscard]] std::shared_ptr<SuccessorStore> make_store(
     StoreKind kind, std::uint32_t bits, const std::string& disk_dir = {});

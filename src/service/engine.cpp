@@ -29,8 +29,8 @@ namespace fs = std::filesystem;
 /// (attractor-summary, transient-depth, explicit preimage-count) from a
 /// completed explicit graph. Every path is storage-generic: random access
 /// goes through FunctionalGraph::succ and whole-table scans stream via
-/// SuccessorStore::for_each_range, so the same code serves the flat,
-/// packed, and disk backends (docs/service.md "storage backends").
+/// SuccessorStore::for_each_range, so the same code serves the flat and
+/// disk backends (docs/service.md "storage backends").
 QueryResult result_from_graph(const ServiceQuery& query,
                               const phasespace::FunctionalGraph& fg) {
   QueryResult r;

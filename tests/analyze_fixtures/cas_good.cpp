@@ -1,6 +1,6 @@
 // tca_analyze fixture: the canonical CAS idioms — dual orders, the
-// retry loop reuses the updated expected value (the in-tree exemplars
-// are runtime/fault.cpp consume() and successor_store.cpp merge_word).
+// retry loop reuses the updated expected value (the in-tree exemplar is
+// runtime/fault.cpp consume()).
 // NOT compiled by CMake.
 #include <atomic>
 

@@ -134,7 +134,6 @@ TEST(BudgetTruncation, GenerousBudgetReproducesTheUnbudgetedTable) {
 
   RunControl control;  // unlimited
   ShardedBuildOptions options;
-  options.store = StoreKind::kFlat;
   const auto build = phasespace::build_synchronous_sharded(a, options, control);
   ASSERT_TRUE(build.complete());
   EXPECT_EQ(build.build.status.stop_reason, StopReason::kNone);
@@ -146,7 +145,6 @@ TEST(BudgetTruncation, ParallelBuildReportsCountsOnlyWhenTruncated) {
   const auto a = parity_ring(12);  // 4096 states, many 256-state shards
 
   ShardedBuildOptions options;
-  options.store = StoreKind::kFlat;
   options.shard_states = 256;
   options.workers = 2;
   RunControl control(RunBudget{.max_states = 1000});
@@ -173,7 +171,6 @@ TEST(BudgetTruncation, ByteBudgetRejectsTheTableUpFront) {
   const auto a = parity_ring(12);  // 4096 states x 8 bytes
   RunControl control(RunBudget{.max_bytes = 1024});
   ShardedBuildOptions options;
-  options.store = StoreKind::kFlat;
   const auto build = phasespace::build_synchronous_sharded(a, options, control);
   ASSERT_FALSE(build.complete());
   EXPECT_EQ(build.build.status.stop_reason, StopReason::kMaxBytes);

@@ -2,8 +2,7 @@
 // pass it replaced, copied below): every Classification field must match
 // on hand-shaped maps, seeded random maps for n = 1..22 (graphs above
 // 2^20 states classify on more than one worker when the host has the
-// CPUs), and the same table read through the flat, packed and disk
-// stores.
+// CPUs), and the same table read through the flat and disk stores.
 
 #include "phasespace/classify.hpp"
 
@@ -301,19 +300,16 @@ TEST(Classify, SameTableThroughEveryStore) {
 
   const fs::path dir = fs::temp_directory_path() /
                        ("tca_classify_test_" + std::to_string(::getpid()));
-  for (StoreKind kind : {StoreKind::kPacked, StoreKind::kDisk}) {
-    SCOPED_TRACE(store_kind_name(kind));
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    {
-      std::shared_ptr<SuccessorStore> store =
-          make_store(kind, bits, dir.string());
-      store->put_range(0, table.size(), table.data());
-      store->finalize();
-      expect_same(classify(FunctionalGraph::from_store(store)), want);
-    }
-    fs::remove_all(dir, ec);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  {
+    std::shared_ptr<SuccessorStore> store =
+        make_store(StoreKind::kDisk, bits, dir.string());
+    store->put_range(0, table.size(), table.data());
+    store->finalize();
+    expect_same(classify(FunctionalGraph::from_store(store)), want);
   }
+  fs::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -49,13 +49,6 @@ runtime::SupervisorOptions fast_supervision() {
   return options;
 }
 
-/// The supervised builds below write a flat table.
-ShardedBuildOptions flat_build() {
-  ShardedBuildOptions options;
-  options.store = StoreKind::kFlat;
-  return options;
-}
-
 TEST(DegradationLadder, EveryRungBuildsTheIdenticalTable) {
   for (std::uint64_t i = 0; i < 24; ++i) {
     const auto tc = ladder_case(i);
@@ -63,7 +56,7 @@ TEST(DegradationLadder, EveryRungBuildsTheIdenticalTable) {
     const auto a = tc.automaton();
     const auto reference = FunctionalGraph::synchronous(a);
     for (const EngineRung rung : kAllRungs) {
-      ShardedBuildOptions options = flat_build();
+      ShardedBuildOptions options;
       options.rung = rung;
       runtime::RunControl control;
       const auto build = build_synchronous_sharded(a, options, control);
@@ -162,8 +155,7 @@ TEST(DegradationLadder, SupervisedBuildRecoversFromMemoryPressure) {
     const auto reference = FunctionalGraph::synchronous(a);
 
     ScopedFaultPlan plan({.alloc_failure_at = 1});
-    const auto out =
-        supervised_synchronous_sharded(a, flat_build(), fast_supervision());
+    const auto out = supervised_synchronous_sharded(a, {}, fast_supervision());
     EXPECT_EQ(out.report.state, runtime::SupervisedState::kCompleted)
         << "case " << i;
     EXPECT_EQ(out.report.attempts, 2u);
@@ -220,8 +212,7 @@ TEST(DegradationLadder, ComposedPlanStillRecovers) {
     const auto reference = FunctionalGraph::synchronous(a);
 
     ScopedFaultPlan plan({.alloc_failure_at = 1, .retry_transient_at = 1});
-    const auto out =
-        supervised_synchronous_sharded(a, flat_build(), fast_supervision());
+    const auto out = supervised_synchronous_sharded(a, {}, fast_supervision());
     EXPECT_EQ(out.report.state, runtime::SupervisedState::kCompleted)
         << "case " << i;
     EXPECT_EQ(out.report.attempts, 3u)
@@ -242,7 +233,7 @@ TEST(DegradationLadder, SupervisedBuildHonoursStartRung) {
   for (const EngineRung rung : kAllRungs) {
     auto options = fast_supervision();
     options.start_rung = rung;
-    const auto out = supervised_synchronous_sharded(a, flat_build(), options);
+    const auto out = supervised_synchronous_sharded(a, {}, options);
     EXPECT_EQ(out.report.state, runtime::SupervisedState::kCompleted);
     EXPECT_EQ(out.report.final_rung, rung);
     EXPECT_FALSE(out.report.degraded);
@@ -260,8 +251,7 @@ TEST(DegradationLadder, SupervisedCancellationIsWellFormedTruncation) {
     const auto full = FunctionalGraph::synchronous(a);
 
     ScopedFaultPlan plan({.cancel_at_visit = 5});
-    const auto out =
-        supervised_synchronous_sharded(a, flat_build(), fast_supervision());
+    const auto out = supervised_synchronous_sharded(a, {}, fast_supervision());
     ASSERT_EQ(out.report.state, runtime::SupervisedState::kTruncated)
         << "case " << i;
     EXPECT_EQ(out.report.attempts, 1u) << "truncation is never retried";

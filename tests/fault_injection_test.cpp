@@ -57,7 +57,6 @@ std::vector<StateCode> pool_table(const core::Automaton& a,
 phasespace::ShardedBuild sharded(const core::Automaton& a,
                                  RunControl& control) {
   phasespace::ShardedBuildOptions options;
-  options.store = phasespace::StoreKind::kFlat;
   options.shard_states = 64;
   options.workers = 3;
   return phasespace::build_synchronous_sharded(a, options, control);

@@ -158,7 +158,6 @@ TEST(ParallelBuild, MatchesSerialBuild) {
     const auto a = majority_ring(n);
     const auto serial = FunctionalGraph::synchronous(a);
     ShardedBuildOptions options;
-    options.store = StoreKind::kFlat;
     options.shard_states = 256;
     options.workers = 4;
     runtime::RunControl control;
@@ -174,7 +173,6 @@ TEST(ParallelBuild, WorksWithParityAndSingleThread) {
                                  Memory::kWith);
   const auto step = synchronous_code_step(a);
   ShardedBuildOptions options;
-  options.store = StoreKind::kFlat;
   options.shard_states = 100;
   options.workers = 1;
   runtime::RunControl control;

@@ -72,10 +72,10 @@ TEST(DifferentialFuzz, SupervisedEquivalence) {
 TEST(DifferentialFuzz, ServiceVsLibrary) { run_oracle("service-vs-library"); }
 
 // Storage-backend oracle: the sharded work-stealing build writes a
-// bit-identical successor table through every SuccessorStore backend
-// (flat / packed n-bit / disk-spilled), across seed-rotated worker
-// counts, shard sizes, and engine rungs, and classify summaries derived
-// through each backend agree (docs/performance.md "successor storage
+// bit-identical successor table through both SuccessorStore backends
+// (flat / disk-spilled, the latter fresh and truncated-then-resumed),
+// across seed-rotated worker counts, shard sizes, and engine rungs, and
+// classify summaries derived through each backend agree (docs/performance.md "successor storage
 // hierarchy").
 TEST(DifferentialFuzz, StoreBackendAgree) { run_oracle("store-backend-agree"); }
 

@@ -87,8 +87,7 @@ TEST(ShardedBuild, SmallNBuildsMatchTheScalarReference) {
     EXPECT_EQ(FunctionalGraph::synchronous(a).successors(), sync_want);
     EXPECT_EQ(FunctionalGraph::sweep(a, order).successors(), sweep_want);
     for (const unsigned workers : {1u, 3u}) {
-      for (const StoreKind kind :
-           {StoreKind::kFlat, StoreKind::kPacked, StoreKind::kDisk}) {
+      for (const StoreKind kind : {StoreKind::kFlat, StoreKind::kDisk}) {
         for (const StateCode shard : {StateCode{1} << 16, StateCode{100}}) {
           SCOPED_TRACE("workers=" + std::to_string(workers) + " kind=" +
                        store_kind_name(kind) +
@@ -121,9 +120,9 @@ TEST(ShardedBuild, SmallNBuildsMatchTheScalarReference) {
   }
 }
 
-// Single-worker n = 20 builds of the Lemma-1 ring on every backend pin
+// Single-worker n = 20 builds of the Lemma-1 ring on both backends pin
 // the exact storage tallies: one run of 2^20 states and 16 shards of
-// 2^16 states per build, all claimed and none stolen, n bits per packed entry, n * 2^n / 8 spilled
+// 2^16 states per build, all claimed and none stolen, n * 2^n / 8 spilled
 // bytes, and one table and one Garden-of-Eden count across backends.
 TEST(ShardedBuild, SingleWorkerStorageCountersAreExact) {
   constexpr std::uint32_t n = 20;
@@ -134,17 +133,14 @@ TEST(ShardedBuild, SingleWorkerStorageCountersAreExact) {
   obs::Counter& built = obs::counter("phasespace.build.states");
   obs::Counter& claimed = obs::counter("phasespace.shard.claimed");
   obs::Counter& stolen = obs::counter("phasespace.shard.stolen");
-  obs::Counter& packed_bits = obs::counter("store.packed_bits");
   obs::Counter& spill_bytes = obs::counter("store.spill_bytes");
   std::vector<std::vector<StateCode>> tables;
-  for (const StoreKind kind :
-       {StoreKind::kFlat, StoreKind::kPacked, StoreKind::kDisk}) {
+  for (const StoreKind kind : {StoreKind::kFlat, StoreKind::kDisk}) {
     SCOPED_TRACE(store_kind_name(kind));
     const std::uint64_t runs0 = runs.value();
     const std::uint64_t built0 = built.value();
     const std::uint64_t claimed0 = claimed.value();
     const std::uint64_t stolen0 = stolen.value();
-    const std::uint64_t packed0 = packed_bits.value();
     const std::uint64_t spill0 = spill_bytes.value();
     ShardedBuildOptions options;
     options.store = kind;
@@ -157,8 +153,6 @@ TEST(ShardedBuild, SingleWorkerStorageCountersAreExact) {
     EXPECT_EQ(built.value() - built0, states);
     EXPECT_EQ(claimed.value() - claimed0, 16u);
     EXPECT_EQ(stolen.value() - stolen0, 0u);
-    EXPECT_EQ(packed_bits.value() - packed0,
-              kind == StoreKind::kPacked ? n * states : 0u);
     EXPECT_EQ(spill_bytes.value() - spill0,
               kind == StoreKind::kDisk ? n * states / 8 : 0u);
     runtime::RunControl census_control{runtime::RunBudget{}};
@@ -167,7 +161,6 @@ TEST(ShardedBuild, SingleWorkerStorageCountersAreExact) {
     tables.push_back(table_of(*out.store));
   }
   EXPECT_EQ(tables[1], tables[0]);
-  EXPECT_EQ(tables[2], tables[0]);
 }
 
 TEST(NumaTopology, ProbeAlwaysYieldsAtLeastOneGroupWithCpus) {
@@ -181,42 +174,43 @@ TEST(NumaTopology, ProbeAlwaysYieldsAtLeastOneGroupWithCpus) {
 }
 
 // Satellite: shard sizes 1/63/64/65 — the degenerate single-entry shard
-// and the sizes that straddle packed 64-bit words both ways — must all
-// reproduce the serial table exactly on every backend.
+// and ragged sizes either side of a power of two — must all reproduce
+// the serial table exactly. (Disk shards round up to kPutAlign, so these
+// sizes only reach the flat backend.)
 TEST(ShardedBuild, ShardBoundaryExactness) {
   const auto a = majority_ring(10);
   const auto serial = FunctionalGraph::synchronous(a);
   for (const StateCode shard : {1ull, 63ull, 64ull, 65ull}) {
-    for (const StoreKind kind : {StoreKind::kFlat, StoreKind::kPacked}) {
-      SCOPED_TRACE("shard_states=" + std::to_string(shard) + " kind=" +
-                   store_kind_name(kind));
-      ShardedBuildOptions options;
-      options.store = kind;
-      options.shard_states = shard;
-      options.workers = 3;
-      runtime::RunControl control{runtime::RunBudget{}};
-      const ShardedBuild out = build_synchronous_sharded(a, options, control);
-      ASSERT_TRUE(out.complete());
-      ASSERT_NE(out.store, nullptr);
-      EXPECT_EQ(out.stats.shards_total,
-                (serial.num_states() + shard - 1) / shard);
-      EXPECT_EQ(out.stats.shards_claimed + out.stats.shards_stolen,
-                out.stats.shards_total);
-      EXPECT_EQ(table_of(*out.store), serial.successors());
-    }
+    SCOPED_TRACE("shard_states=" + std::to_string(shard));
+    ShardedBuildOptions options;
+    options.shard_states = shard;
+    options.workers = 3;
+    runtime::RunControl control{runtime::RunBudget{}};
+    const ShardedBuild out = build_synchronous_sharded(a, options, control);
+    ASSERT_TRUE(out.complete());
+    ASSERT_NE(out.store, nullptr);
+    EXPECT_EQ(out.stats.shards_total,
+              (serial.num_states() + shard - 1) / shard);
+    EXPECT_EQ(out.stats.shards_claimed + out.stats.shards_stolen,
+              out.stats.shards_total);
+    EXPECT_EQ(table_of(*out.store), serial.successors());
   }
 }
 
 // Satellite: the table is a pure function of (automaton, bits) — worker
-// count, group layout, and steal interleaving must not matter.
+// count, group layout, and steal interleaving must not matter. On the
+// disk backend each worker stages its shards and put_range()s them
+// concurrently with the others (disjoint aligned extents).
 TEST(ShardedBuild, DeterministicAcrossWorkerCounts) {
-  const auto a = majority_ring(11);
+  const auto a = majority_ring(12);
   const auto serial = FunctionalGraph::synchronous(a);
   for (const unsigned workers : {1u, 2u, 3u, 7u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
+    TempDir dir("workers");
     ShardedBuildOptions options;
-    options.store = StoreKind::kPacked;
-    options.shard_states = 128;
+    options.store = StoreKind::kDisk;
+    options.disk_dir = dir.path().string();
+    options.shard_states = kPutAlign;
     options.workers = workers;
     runtime::RunControl control{runtime::RunBudget{}};
     const ShardedBuild out = build_synchronous_sharded(a, options, control);
@@ -227,12 +221,14 @@ TEST(ShardedBuild, DeterministicAcrossWorkerCounts) {
 }
 
 TEST(ShardedBuild, SweepMatchesSerialSweep) {
-  const auto a = majority_ring(9);
-  std::vector<core::NodeId> order{3, 1, 4, 0, 8, 2, 7, 5, 6};
+  const auto a = majority_ring(11);
+  std::vector<core::NodeId> order{3, 1, 4, 0, 8, 2, 10, 7, 5, 9, 6};
   const auto serial = FunctionalGraph::sweep(a, order);
+  TempDir dir("sweep");
   ShardedBuildOptions options;
-  options.store = StoreKind::kPacked;
-  options.shard_states = 100;
+  options.store = StoreKind::kDisk;
+  options.disk_dir = dir.path().string();
+  options.shard_states = kPutAlign;
   options.workers = 2;
   runtime::RunControl control{runtime::RunBudget{}};
   const ShardedBuild out = build_sweep_sharded(a, order, options, control);
@@ -240,23 +236,29 @@ TEST(ShardedBuild, SweepMatchesSerialSweep) {
   EXPECT_EQ(table_of(*out.store), serial.successors());
 }
 
-// Truncation contract: a tripped budget yields counts only (no graph, no
-// store for RAM backends).
+// Truncation contract: a tripped budget yields counts only (no graph);
+// a disk build also keeps its partial store — whole shards only — for a
+// resume. (The RAM side, no store at all, is budget_truncation_test's.)
 TEST(ShardedBuild, BudgetTruncationReportsCountsOnly) {
-  const auto a = majority_ring(10);
+  const auto a = majority_ring(12);
   runtime::RunBudget budget;
-  budget.max_states = 300;
+  budget.max_states = 1300;  // admits two 512-state blocks, not three
   runtime::RunControl control(budget);
+  TempDir dir("truncated");
   ShardedBuildOptions options;
-  options.store = StoreKind::kPacked;
-  options.shard_states = 64;
+  options.store = StoreKind::kDisk;
+  options.disk_dir = dir.path().string();
+  options.shard_states = kPutAlign;
   options.workers = 2;
   const ShardedBuild out = build_synchronous_sharded(a, options, control);
   EXPECT_FALSE(out.complete());
   EXPECT_FALSE(out.build.graph.has_value());
-  EXPECT_EQ(out.store, nullptr);
   EXPECT_EQ(out.build.status.stop_reason, runtime::StopReason::kMaxStates);
-  EXPECT_LE(out.build.states_built, 1024u);
+  EXPECT_LE(out.build.states_built, 1300u);
+  EXPECT_EQ(out.stats.stored_states % kPutAlign, 0u);
+  EXPECT_LE(out.stats.stored_states, out.build.states_built);
+  ASSERT_NE(out.store, nullptr);
+  EXPECT_FALSE(static_cast<const DiskStore&>(*out.store).complete());
 }
 
 // Disk truncation finalizes the manifest, and a resume build skips every
@@ -302,10 +304,13 @@ TEST(ShardedBuild, DiskTruncationThenResumeIsBitIdentical) {
 // The supervised wrapper walks the ladder on an injected transient and
 // still produces the exact table.
 TEST(ShardedBuild, SupervisedAbsorbsInjectedTransient) {
-  const auto a = majority_ring(9);
+  const auto a = majority_ring(11);
   const auto serial = FunctionalGraph::synchronous(a);
+  TempDir dir("supervised");
   ShardedBuildOptions options;
-  options.store = StoreKind::kPacked;
+  options.store = StoreKind::kDisk;
+  options.disk_dir = dir.path().string();
+  options.shard_states = kPutAlign;
   options.workers = 2;
   runtime::SupervisorOptions sup;
   sup.retry.max_attempts = 4;
@@ -325,7 +330,6 @@ TEST(ShardedBuild, SpawnFailureDegradesGracefully) {
   const auto a = majority_ring(9);
   const auto serial = FunctionalGraph::synchronous(a);
   ShardedBuildOptions options;
-  options.store = StoreKind::kFlat;
   options.workers = 4;
   runtime::ScopedFaultPlan plan({.fail_thread_spawn = true});
   runtime::RunControl control{runtime::RunBudget{}};
@@ -336,11 +340,14 @@ TEST(ShardedBuild, SpawnFailureDegradesGracefully) {
 
 // Classification through a sharded-built store matches the serial path
 // end to end (the surface the service tier uses).
-TEST(ShardedBuild, ClassifyThroughPackedStoreMatchesSerial) {
+TEST(ShardedBuild, ClassifyThroughDiskStoreMatchesSerial) {
   const auto a = majority_ring(10);
   const auto want = classify(FunctionalGraph::synchronous(a));
+  TempDir dir("classify");
   ShardedBuildOptions options;
-  options.store = StoreKind::kPacked;
+  options.store = StoreKind::kDisk;
+  options.disk_dir = dir.path().string();
+  options.shard_states = kPutAlign;
   options.workers = 2;
   runtime::RunControl control{runtime::RunBudget{}};
   const ShardedBuild out = build_synchronous_sharded(a, options, control);

@@ -1,7 +1,7 @@
 // SuccessorStore backends (docs/performance.md "successor storage
-// hierarchy"): n-bit packed round-trips at the width boundaries, the
-// shared packed byte format on disk, digest-gated resume, and the
-// factory/validation surface. Shard-level parallel-write exactness lives
+// hierarchy"): the disk backend's n-bit byte format round-tripped at the
+// width boundaries, digest-gated resume, and the factory/validation
+// surface. Shard-level parallel-write exactness lives
 // in sharded_build_test.cpp; cross-backend agreement on real phase
 // spaces is the store-backend-agree PBT oracle.
 
@@ -63,29 +63,50 @@ class TempDir {
   fs::path path_;
 };
 
-// --- packed: n-bit boundary round-trips -------------------------------
+// --- flat --------------------------------------------------------------
 
-TEST(PackedStore, RoundTripsBoundaryWidths) {
-  // n=1 (minimum, 64 entries/word), n=26 (the flat cap), n=27 (past it —
-  // only reachable through the packed backend). Capacity is kept small:
-  // the bit-packing logic is identical at any entry count.
-  for (const std::uint32_t bits : {1u, 26u, 27u}) {
+TEST(FlatStore, WrapsExternallyBuiltTable) {
+  std::vector<StateCode> table{3, 2, 1, 0};
+  FlatStore store(2, std::move(table));
+  EXPECT_EQ(store.kind(), StoreKind::kFlat);
+  EXPECT_EQ(store.num_entries(), 4u);
+  EXPECT_EQ(store.get(0), 3u);
+  EXPECT_EQ(store.get(3), 0u);
+  ASSERT_NE(store.flat_table(), nullptr);
+  EXPECT_EQ(store.flat_table()->size(), 4u);
+  // for_each_range on a flat store is zero-copy over the vector.
+  store.for_each_range(
+      [&](StateCode first, std::size_t count, const StateCode* block) {
+        EXPECT_EQ(first, 0u);
+        EXPECT_EQ(count, 4u);
+        EXPECT_EQ(block, store.flat_table()->data());
+      });
+}
+
+// --- disk: n-bit codec at the width boundaries ------------------------
+
+TEST(DiskStore, RoundTripsBoundaryWidths) {
+  // n=1 (minimum, 8 entries/byte), n=26 (the flat cap), n=27 (past it),
+  // n=32 (the disk cap). Capacity is kept small: the bit-packing logic is
+  // identical at any entry count.
+  for (const std::uint32_t bits : {1u, 26u, 27u, 32u}) {
     SCOPED_TRACE("bits=" + std::to_string(bits));
-    constexpr std::size_t kEntries = 1031;  // prime: every word phase hit
-    PackedStore store(bits, kEntries);
-    EXPECT_EQ(store.kind(), StoreKind::kPacked);
+    TempDir dir("widths");
+    constexpr std::size_t kEntries = 1031;  // prime: every byte phase hit
+    DiskStore store(bits, dir.path().string(), kEntries);
     EXPECT_EQ(store.bits(), bits);
     EXPECT_EQ(store.num_entries(), kEntries);
-    EXPECT_EQ(store.packed_bits(), std::uint64_t{kEntries} * bits);
 
     const std::vector<StateCode> want = boundary_pattern(bits, kEntries);
     store.put_range(0, kEntries, want.data());
+    store.finalize();
 
     // Random access...
     for (std::size_t i = 0; i < kEntries; ++i) {
       ASSERT_EQ(store.get(i), want[i]) << "entry " << i;
     }
-    // ...bulk decode (including an unaligned interior window)...
+    // ...bulk decode, including an unaligned interior window (at n=27
+    // entry 517 starts 7 bits into its byte)...
     std::vector<StateCode> got(kEntries, ~StateCode{0});
     store.read_range(0, kEntries, got.data());
     EXPECT_EQ(got, want);
@@ -107,67 +128,43 @@ TEST(PackedStore, RoundTripsBoundaryWidths) {
   }
 }
 
-TEST(PackedStore, ExtremeValuesAtFirstAndLastEntry) {
-  for (const std::uint32_t bits : {1u, 26u, 27u}) {
+TEST(DiskStore, ExtremeValuesAtFirstAndLastEntry) {
+  for (const std::uint32_t bits : {1u, 26u, 27u, 32u}) {
     SCOPED_TRACE("bits=" + std::to_string(bits));
+    TempDir dir("extremes");
     const StateCode mask = (StateCode{1} << bits) - 1;
-    PackedStore store(bits, 257);
+    DiskStore store(bits, dir.path().string(), 257);
     std::vector<StateCode> v(257, 0);
     v.front() = mask;  // 2^n - 1 in the first slot
-    v.back() = mask;   // and in the last (guard-word adjacency)
+    v.back() = mask;   // and in the last (guard-byte adjacency)
     store.put_range(0, v.size(), v.data());
+    store.finalize();
     EXPECT_EQ(store.get(0), mask);
     EXPECT_EQ(store.get(256), mask);
     for (std::size_t i = 1; i < 256; ++i) ASSERT_EQ(store.get(i), 0u);
+    std::vector<StateCode> got(257, ~StateCode{0});
+    store.read_range(0, got.size(), got.data());
+    EXPECT_EQ(got, v);
   }
 }
 
-TEST(PackedStore, DisjointUnalignedPutsMergeExactly) {
-  // Split one table into ranges whose boundaries straddle packed words
-  // (27 bits/entry: every boundary except multiples of 64 splits a
-  // word). The CAS merge must preserve both sides.
-  constexpr std::uint32_t kBits = 27;
-  constexpr std::size_t kEntries = 513;
-  const std::vector<StateCode> want = boundary_pattern(kBits, kEntries);
-  PackedStore store(kBits, kEntries);
-  std::size_t at = 0;
-  for (const std::size_t piece : {1ul, 63ul, 64ul, 65ul, 320ul}) {
-    store.put_range(at, piece, want.data() + at);
-    at += piece;
-  }
-  ASSERT_EQ(at, kEntries);
-  for (std::size_t i = 0; i < kEntries; ++i) {
-    ASSERT_EQ(store.get(i), want[i]) << "entry " << i;
+TEST(DiskStore, RejectsWidthsPastTheDiskCap) {
+  // Past n=32 the one-window decode of get() and read_range would return
+  // wrong entries for some widths, so the constructor refuses them all.
+  TempDir dir("too-wide");
+  for (const std::uint32_t bits : {33u, 63u}) {
+    SCOPED_TRACE("bits=" + std::to_string(bits));
+    EXPECT_THROW(DiskStore(bits, dir.path().string(), 1024),
+                 tca::InvalidArgumentError);
   }
 }
 
-TEST(PackedStore, RejectsOutOfRangeWrites) {
-  PackedStore store(8, 100);
+TEST(DiskStore, RejectsOutOfRangeWrites) {
+  TempDir dir("range");
+  DiskStore store(8, dir.path().string(), 100);
   std::vector<StateCode> v(8, 0);
   EXPECT_THROW(store.put_range(96, 8, v.data()), tca::StateError);
 }
-
-// --- flat --------------------------------------------------------------
-
-TEST(FlatStore, WrapsExternallyBuiltTable) {
-  std::vector<StateCode> table{3, 2, 1, 0};
-  FlatStore store(2, std::move(table));
-  EXPECT_EQ(store.kind(), StoreKind::kFlat);
-  EXPECT_EQ(store.num_entries(), 4u);
-  EXPECT_EQ(store.get(0), 3u);
-  EXPECT_EQ(store.get(3), 0u);
-  ASSERT_NE(store.flat_table(), nullptr);
-  EXPECT_EQ(store.flat_table()->size(), 4u);
-  // for_each_range on a flat store is zero-copy over the vector.
-  store.for_each_range(
-      [&](StateCode first, std::size_t count, const StateCode* block) {
-        EXPECT_EQ(first, 0u);
-        EXPECT_EQ(count, 4u);
-        EXPECT_EQ(block, store.flat_table()->data());
-      });
-}
-
-// --- disk --------------------------------------------------------------
 
 TEST(DiskStore, SpillsAlignedExtentsAndReadsThemBack) {
   TempDir dir("basic");
@@ -351,14 +348,11 @@ TEST(DiskStore, ResumeOnEmptyDirectoryIsEmpty) {
 TEST(MakeStore, EnforcesPerBackendCaps) {
   EXPECT_THROW((void)make_store(StoreKind::kFlat, 27),
                tca::InvalidArgumentError);
-  EXPECT_THROW((void)make_store(StoreKind::kPacked, 30),
-               tca::InvalidArgumentError);
   EXPECT_THROW((void)make_store(StoreKind::kDisk, 33, "/tmp/x"),
                tca::InvalidArgumentError);
   EXPECT_THROW((void)make_store(StoreKind::kDisk, 20),
                tca::InvalidArgumentError);  // no directory
   EXPECT_EQ(max_explicit_bits(StoreKind::kFlat), 26u);
-  EXPECT_EQ(max_explicit_bits(StoreKind::kPacked), 29u);
   EXPECT_EQ(max_explicit_bits(StoreKind::kDisk), 32u);
 }
 
@@ -367,12 +361,9 @@ TEST(MakeStore, BuildsEachBackend) {
   const auto flat = make_store(StoreKind::kFlat, 4);
   EXPECT_EQ(flat->kind(), StoreKind::kFlat);
   EXPECT_EQ(flat->num_entries(), 16u);
-  const auto packed = make_store(StoreKind::kPacked, 4);
-  EXPECT_EQ(packed->kind(), StoreKind::kPacked);
   const auto disk = make_store(StoreKind::kDisk, 4, dir.path().string());
   EXPECT_EQ(disk->kind(), StoreKind::kDisk);
   EXPECT_EQ(std::string(store_kind_name(StoreKind::kFlat)), "flat");
-  EXPECT_EQ(std::string(store_kind_name(StoreKind::kPacked)), "packed");
   EXPECT_EQ(std::string(store_kind_name(StoreKind::kDisk)), "disk");
 }
 
